@@ -64,9 +64,10 @@ Result<UVDiagram> UVDiagram::Build(std::vector<uncertain::UncertainObject> objec
   d.store_ = std::make_unique<uncertain::ObjectStore>(d.pm_.get());
   UVD_RETURN_NOT_OK(d.store_->BulkLoad(d.objects_, &d.ptrs_));
 
-  UVD_ASSIGN_OR_RETURN(
-      rtree::RTree tree,
-      rtree::RTree::BulkLoad(d.objects_, d.ptrs_, d.pm_.get(), options.rtree, d.stats_));
+  d.rtree_pm_ = std::make_unique<storage::PageManager>(options.page_size, d.stats_);
+  UVD_ASSIGN_OR_RETURN(rtree::RTree tree,
+                       rtree::RTree::BulkLoad(d.objects_, d.ptrs_, d.rtree_pm_.get(),
+                                              options.rtree, d.stats_));
   d.rtree_ = std::make_unique<rtree::RTree>(std::move(tree));
 
   d.index_ = std::make_unique<UVIndex>(domain, d.pm_.get(), d.options_.index, d.stats_);
@@ -210,16 +211,13 @@ Result<UVDiagram> UVDiagram::Open(const std::string& path, const Options& option
 void UVDiagram::RefreshRtreeIfStale() const {
   MutexLock lock(*rtree_mu_);
   if (!rtree_stale_) return;
-  auto tree =
-      rtree::RTree::BulkLoad(objects_, ptrs_, pm_.get(), options_.rtree, stats_);
+  // Reopened diagrams start without an R-tree (it is derivable, not
+  // persisted) and materialize it here on first use.
+  auto pm = std::make_unique<storage::PageManager>(options_.page_size, stats_);
+  auto tree = rtree::RTree::BulkLoad(objects_, ptrs_, pm.get(), options_.rtree, stats_);
   UVD_CHECK(tree.ok()) << tree.status().ToString();
-  if (rtree_ == nullptr) {
-    // Reopened diagrams start without an R-tree (it is derivable, not
-    // persisted); materialize it on first use.
-    rtree_ = std::make_unique<rtree::RTree>(std::move(tree).value());
-  } else {
-    *rtree_ = std::move(tree).value();
-  }
+  rtree_ = std::make_unique<rtree::RTree>(std::move(tree).value());
+  rtree_pm_ = std::move(pm);  // after the old tree is gone
   rtree_stale_ = false;
 }
 

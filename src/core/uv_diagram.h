@@ -60,11 +60,11 @@ struct UVDiagramOptions {
   int traversal_tile_size = 64;
   int leaf_memo_capacity = 256;
   /// Persistent storage. Empty (the default): pages live in the in-RAM
-  /// simulated disk and the diagram dies with the process. Non-empty: the
-  /// whole stack — object records, R-tree leaves, UV-index pages — lands
-  /// in a checksummed paged file at this path; Checkpoint() makes the
-  /// built index durable and Open() serves it cold in a later process
-  /// (docs/STORAGE.md).
+  /// simulated disk and the diagram dies with the process. Non-empty:
+  /// object records and UV-index pages land in a checksummed paged file
+  /// at this path; Checkpoint() makes the built index durable and Open()
+  /// serves it cold in a later process (docs/STORAGE.md). The R-tree is
+  /// derivable and always lives on its own in-RAM page manager.
   std::string storage_path;
   /// Buffer pool capacity in pages for the file-backed store (ignored
   /// without storage_path). 0 disables the pool: every read hits the file.
@@ -159,10 +159,12 @@ class UVDiagram {
   /// check and the rebuild run under rtree_mu_, so concurrent R-tree-path
   /// callers (QueryPnnWithRtree, rtree()) cannot both rebuild or observe
   /// a half-built tree (the lazy mutation under `const` used to race).
-  /// Note a rebuild allocates pages in the shared PageManager, which must
-  /// not overlap ANY other reader (see page_manager.h); today that holds
-  /// because rebuilds only actually fire inside InsertObject — a mutation,
-  /// which callers already must not overlap with queries.
+  /// A rebuild bulk-loads into a fresh private in-RAM page manager and
+  /// then drops the old tree with its pages, so live inserts do not grow
+  /// the diagram's store. Replacing the tree must not overlap any R-tree
+  /// reader; today that holds because rebuilds only actually fire inside
+  /// InsertObject — a mutation, which callers already must not overlap
+  /// with queries.
   void RefreshRtreeIfStale() const;
 
   std::vector<uncertain::UncertainObject> objects_;
@@ -175,6 +177,9 @@ class UVDiagram {
   storage::FilePageManager* fpm_ = nullptr;
   std::unique_ptr<uncertain::ObjectStore> store_;
   std::vector<uncertain::ObjectPtr> ptrs_;
+  /// The R-tree's own pages (billed to stats_ like pm_). Declared before
+  /// rtree_ so the tree is destroyed first.
+  mutable std::unique_ptr<storage::PageManager> rtree_pm_;
   mutable std::unique_ptr<rtree::RTree> rtree_;
   /// Guards rtree_stale_ and the lazy rebuild of *rtree_. A unique_ptr so
   /// UVDiagram stays movable (Result<UVDiagram> returns by value); the

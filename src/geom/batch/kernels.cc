@@ -202,6 +202,165 @@ ptrdiff_t FindContainingOutsideRegion(const CircleSoA& candidates,
   return -1;
 }
 
+namespace {
+
+// fdlibm's (e_asin.c) rational approximation asin(t) = t + t * P(z) / Q(z),
+// z = t^2, for t in [0, 1/2]; max error 1 ulp over [-1, 1] once combined
+// with the reductions in AcosApprox.
+constexpr double kAsinP0 = 1.66666666666666657415e-01;
+constexpr double kAsinP1 = -3.25565818622400915405e-01;
+constexpr double kAsinP2 = 2.01212532134862925881e-01;
+constexpr double kAsinP3 = -4.00555345006794114027e-02;
+constexpr double kAsinP4 = 7.91534994289814532176e-04;
+constexpr double kAsinP5 = 3.47933107596021167570e-05;
+constexpr double kAsinQ1 = -2.40339491173441421878e+00;
+constexpr double kAsinQ2 = 2.02094576023350569471e+00;
+constexpr double kAsinQ3 = -6.88283971605453293030e-01;
+constexpr double kAsinQ4 = 7.70381505559019352791e-02;
+constexpr double kHalfPi = M_PI_2;
+
+// min/max with the operand order of _mm256_min_pd / _mm256_max_pd, so the
+// scalar lanes pick exactly what the intrinsics pick.
+inline double LaneMin(double a, double b) { return a < b ? a : b; }
+inline double LaneMax(double a, double b) { return a > b ? a : b; }
+
+inline double AsinKernel(double t) {
+  const double z = t * t;
+  const double p =
+      z * (kAsinP0 +
+           z * (kAsinP1 + z * (kAsinP2 + z * (kAsinP3 + z * (kAsinP4 + z * kAsinP5)))));
+  const double q = 1.0 + z * (kAsinQ1 + z * (kAsinQ2 + z * (kAsinQ3 + z * kAsinQ4)));
+  return t + t * (p / q);
+}
+
+// acos(x) for x in [-1, 1]: pi/2 - asin(x) for |x| <= 1/2, else the
+// half-angle form 2 * asin(sqrt((1 - |x|) / 2)), reflected for x < 0.
+inline double AcosApprox(double x) {
+  const double a = std::fabs(x);
+  if (a <= 0.5) {
+    const double s = AsinKernel(a);
+    return kHalfPi - (x < 0.0 ? -s : s);
+  }
+  const double y = 2.0 * AsinKernel(std::sqrt(0.5 - 0.5 * a));
+  return x > 0.0 ? y : M_PI - y;
+}
+
+#if defined(UVD_SIMD_AVX2)
+inline __m256d AsinKernel4(__m256d t) {
+  const __m256d z = _mm256_mul_pd(t, t);
+  __m256d p = _mm256_set1_pd(kAsinP5);
+  p = _mm256_add_pd(_mm256_set1_pd(kAsinP4), _mm256_mul_pd(z, p));
+  p = _mm256_add_pd(_mm256_set1_pd(kAsinP3), _mm256_mul_pd(z, p));
+  p = _mm256_add_pd(_mm256_set1_pd(kAsinP2), _mm256_mul_pd(z, p));
+  p = _mm256_add_pd(_mm256_set1_pd(kAsinP1), _mm256_mul_pd(z, p));
+  p = _mm256_add_pd(_mm256_set1_pd(kAsinP0), _mm256_mul_pd(z, p));
+  p = _mm256_mul_pd(z, p);
+  __m256d q = _mm256_set1_pd(kAsinQ4);
+  q = _mm256_add_pd(_mm256_set1_pd(kAsinQ3), _mm256_mul_pd(z, q));
+  q = _mm256_add_pd(_mm256_set1_pd(kAsinQ2), _mm256_mul_pd(z, q));
+  q = _mm256_add_pd(_mm256_set1_pd(kAsinQ1), _mm256_mul_pd(z, q));
+  q = _mm256_add_pd(_mm256_set1_pd(1.0), _mm256_mul_pd(z, q));
+  return _mm256_add_pd(t, _mm256_mul_pd(t, _mm256_div_pd(p, q)));
+}
+
+// AcosApprox on four lanes: both reductions are evaluated and blended, so
+// each lane performs exactly the scalar branch it selects.
+inline __m256d AcosApprox4(__m256d x) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d half = _mm256_set1_pd(0.5);
+  const __m256d a = _mm256_andnot_pd(sign, x);
+  const __m256d small = _mm256_cmp_pd(a, half, _CMP_LE_OQ);
+  const __m256d t = _mm256_blendv_pd(
+      _mm256_sqrt_pd(_mm256_sub_pd(half, _mm256_mul_pd(half, a))), a, small);
+  const __m256d s = AsinKernel4(t);
+  // x < 0 ? -s : s, as a sign transfer (x = -0 gives -0, which pi/2 - s
+  // maps to the same pi/2 as the scalar +0).
+  const __m256d small_r =
+      _mm256_sub_pd(_mm256_set1_pd(kHalfPi), _mm256_xor_pd(s, _mm256_and_pd(x, sign)));
+  const __m256d y = _mm256_mul_pd(_mm256_set1_pd(2.0), s);
+  const __m256d large_r =
+      _mm256_blendv_pd(_mm256_sub_pd(_mm256_set1_pd(M_PI), y), y,
+                       _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_GT_OQ));
+  return _mm256_blendv_pd(large_r, small_r, small);
+}
+#endif
+
+}  // namespace
+
+double LensAreaLane(double dist, double r1, double r2) {
+  if (r1 == 0.0 || r2 == 0.0 || dist >= r1 + r2) return 0.0;
+  const double rmin = LaneMin(r1, r2);
+  if (dist <= std::fabs(r1 - r2)) return M_PI * rmin * rmin;
+  const double d2 = dist * dist;
+  const double r1s = r1 * r1;
+  const double r2s = r2 * r2;
+  const double c1 = LaneMax(LaneMin((d2 + r1s - r2s) / (2.0 * dist * r1), 1.0), -1.0);
+  const double c2 = LaneMax(LaneMin((d2 + r2s - r1s) / (2.0 * dist * r2), 1.0), -1.0);
+  const double tri =
+      0.5 * std::sqrt(LaneMax((-dist + r1 + r2) * (dist + r1 - r2) *
+                                  (dist - r1 + r2) * (dist + r1 + r2),
+                              0.0));
+  // Near tangency the terms cancel and roundoff can go fractionally negative.
+  return LaneMax(r1s * AcosApprox(c1) + r2s * AcosApprox(c2) - tri, 0.0);
+}
+
+void LensAreas(double dist, const double* r1, const double* r2, size_t n,
+               double* out) {
+  size_t i = 0;
+#if defined(UVD_SIMD_AVX2)
+  // Every lane evaluates all three cases of LensAreaLane and blends, with
+  // the scalar precedence: zero radius / disjoint, then containment.
+  const __m256d vd = _mm256_set1_pd(dist);
+  const __m256d neg_d = _mm256_xor_pd(vd, _mm256_set1_pd(-0.0));
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d neg_one = _mm256_set1_pd(-1.0);
+  const __m256d d2 = _mm256_mul_pd(vd, vd);
+  const __m256d two_d = _mm256_mul_pd(_mm256_set1_pd(2.0), vd);
+  for (; i + 4 <= n; i += 4) {
+    const __m256d a = _mm256_loadu_pd(r1 + i);
+    const __m256d b = _mm256_loadu_pd(r2 + i);
+    const __m256d none = _mm256_or_pd(
+        _mm256_or_pd(_mm256_cmp_pd(a, zero, _CMP_EQ_OQ), _mm256_cmp_pd(b, zero, _CMP_EQ_OQ)),
+        _mm256_cmp_pd(vd, _mm256_add_pd(a, b), _CMP_GE_OQ));
+    const __m256d rmin = _mm256_min_pd(a, b);
+    const __m256d contained = _mm256_cmp_pd(
+        vd, _mm256_andnot_pd(_mm256_set1_pd(-0.0), _mm256_sub_pd(a, b)), _CMP_LE_OQ);
+    const __m256d disk = _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(M_PI), rmin), rmin);
+
+    const __m256d as = _mm256_mul_pd(a, a);
+    const __m256d bs = _mm256_mul_pd(b, b);
+    const __m256d c1 = _mm256_max_pd(
+        _mm256_min_pd(_mm256_div_pd(_mm256_sub_pd(_mm256_add_pd(d2, as), bs),
+                                    _mm256_mul_pd(two_d, a)),
+                      one),
+        neg_one);
+    const __m256d c2 = _mm256_max_pd(
+        _mm256_min_pd(_mm256_div_pd(_mm256_sub_pd(_mm256_add_pd(d2, bs), as),
+                                    _mm256_mul_pd(two_d, b)),
+                      one),
+        neg_one);
+    const __m256d f1 = _mm256_add_pd(_mm256_add_pd(neg_d, a), b);
+    const __m256d f2 = _mm256_sub_pd(_mm256_add_pd(vd, a), b);
+    const __m256d f3 = _mm256_add_pd(_mm256_sub_pd(vd, a), b);
+    const __m256d f4 = _mm256_add_pd(_mm256_add_pd(vd, a), b);
+    const __m256d prod =
+        _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(f1, f2), f3), f4);
+    const __m256d tri =
+        _mm256_mul_pd(_mm256_set1_pd(0.5), _mm256_sqrt_pd(_mm256_max_pd(prod, zero)));
+    const __m256d lens = _mm256_max_pd(
+        _mm256_sub_pd(_mm256_add_pd(_mm256_mul_pd(as, AcosApprox4(c1)),
+                                    _mm256_mul_pd(bs, AcosApprox4(c2))),
+                      tri),
+        zero);
+    const __m256d area =
+        _mm256_blendv_pd(_mm256_blendv_pd(lens, disk, contained), zero, none);
+    _mm256_storeu_pd(out + i, area);
+  }
+#endif
+  for (; i < n; ++i) out[i] = LensAreaLane(dist, r1[i], r2[i]);
+}
+
 void BuildConstraintPrefilter(const Circle& anchor, const Circle* others,
                               size_t n, ConstraintPrefilter* out) {
   out->min_rho.resize(n);

@@ -1,8 +1,10 @@
 // SIMD batch kernels for the stage-1 hot path (ROADMAP "Raw-speed hot
-// path"). Stage-1 cost concentrates in three per-candidate scalar tests —
-// the C-pruning distance bound (Lemma 3), the 4-point corner test against
-// outside regions (Algorithm 5), and the envelope insertions of Algorithm 1
-// — all embarrassingly lane-parallel across candidates. This layer
+// path") and for the lens areas of the PNN qualification integral
+// (LensAreas below). Stage-1 cost concentrates in three per-candidate
+// scalar tests — the C-pruning distance bound (Lemma 3), the 4-point
+// corner test against outside regions (Algorithm 5), and the envelope
+// insertions of Algorithm 1 — all embarrassingly lane-parallel across
+// candidates. This layer
 // restructures candidate sets struct-of-arrays and evaluates them in
 // blocks: plain -O3-autovectorizable loops everywhere, with an explicit
 // AVX2/NEON intrinsics path behind the UVD_ENABLE_SIMD build option for the
@@ -122,6 +124,23 @@ constexpr double kPrefilterSlack = 1e-9;
 inline bool PrefilterSkips(double min_rho, double max_vertex_distance) {
   return min_rho > max_vertex_distance * (1.0 + kPrefilterSlack);
 }
+
+/// Batched lens areas for the distance CDFs of the PNN qualification
+/// integral: out[i] = area of the intersection of two disks with radii
+/// r1[i] and r2[i] whose centers are `dist` apart — geom::LensArea, case
+/// for case (zero radius and disjoint: 0; containment: pi * min(r)^2).
+/// acos is a fixed rational approximation (fdlibm's asin kernel on
+/// [0, 1/2] plus the half-angle reduction; at most 1 ulp from std::acos),
+/// so each area is within ~1e-15 * pi * max(r)^2 of geom::LensArea.
+/// The intrinsics path and the scalar fallback perform the same per-lane
+/// operations, so the output is bitwise identical with UVD_ENABLE_SIMD on
+/// or off. out must not alias r1 or r2.
+void LensAreas(double dist, const double* r1, const double* r2, size_t n,
+               double* out);
+
+/// One lane of LensAreas (the scalar fallback), exposed so tests can pin
+/// the intrinsics path against it bit for bit.
+double LensAreaLane(double dist, double r1, double r2);
 
 }  // namespace batch
 }  // namespace geom

@@ -1,9 +1,10 @@
 // File-backed PageManager: the same page interface every index structure
 // builds against, persisted in a checksummed PagedFile with an optional
 // buffer pool in front. Point UVDiagramOptions::storage_path at a file
-// and the whole stack — ObjectStore records, R-tree leaves, UV-index
-// nodes — lands here instead of RAM; reopen the file later and serve the
-// index cold (core/uv_diagram.h Open, docs/STORAGE.md).
+// and the stored state — ObjectStore records and UV-index nodes — lands
+// here instead of RAM (the derivable R-tree stays on its own in-RAM
+// manager); reopen the file later and serve the index cold
+// (core/uv_diagram.h Open, docs/STORAGE.md).
 #ifndef UVD_STORAGE_FILE_PAGE_MANAGER_H_
 #define UVD_STORAGE_FILE_PAGE_MANAGER_H_
 

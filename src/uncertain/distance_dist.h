@@ -6,6 +6,8 @@
 #ifndef UVD_UNCERTAIN_DISTANCE_DIST_H_
 #define UVD_UNCERTAIN_DISTANCE_DIST_H_
 
+#include <cstddef>
+
 #include "geom/point.h"
 #include "uncertain/uncertain_object.h"
 
@@ -19,7 +21,16 @@ class DistanceDistribution {
   DistanceDistribution(const UncertainObject& obj, geom::Point q);
 
   /// P(dist(q, X) <= d). Monotone, 0 below dist_min, 1 above dist_max.
+  /// A one-point CdfRow: Cdf(d) and CdfRow's entry for d are bitwise equal.
   double Cdf(double d) const;
+
+  /// out[k] = Cdf(radii[k]) for k < n; radii must be non-decreasing. At
+  /// each radius every pdf bar is fully inside the query disk (covered by
+  /// a prefix sum of bar masses), fully outside, or straddling its edge;
+  /// the straddling bars form one contiguous range whose ring-boundary
+  /// lens areas are computed once each, shared by the two bars meeting
+  /// there, in one geom::batch::LensAreas call for the whole row.
+  void CdfRow(const double* radii, size_t n, double* out) const;
 
   /// Support bounds: [dist_min(O, q), dist_max(O, q)].
   double lower() const { return lower_; }
@@ -27,7 +38,6 @@ class DistanceDistribution {
 
  private:
   const UncertainObject& obj_;
-  geom::Point q_;
   double center_dist_;
   double lower_;
   double upper_;

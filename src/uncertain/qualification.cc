@@ -24,6 +24,59 @@ std::vector<const UncertainObject*> FilterByDMinMax(
   return out;
 }
 
+CdfGrid ComputeCdfGrid(const std::vector<const UncertainObject*>& objs,
+                       const geom::Point& q, int steps) {
+  UVD_DCHECK(!objs.empty());
+  UVD_DCHECK_GE(steps, 1);
+  // Integration domain: from the smallest possible NN distance to d_minmax
+  // (beyond which some candidate is certainly closer).
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  for (const UncertainObject* o : objs) {
+    lo = std::min(lo, o->DistMin(q));
+    hi = std::min(hi, o->DistMax(q));
+  }
+  UVD_DCHECK_LE(lo, hi);
+  const size_t width = static_cast<size_t>(steps) + 1;
+  std::vector<double> radii(width);
+  for (size_t k = 0; k < width; ++k) {
+    radii[k] = lo + (hi - lo) * static_cast<double>(k) / steps;
+  }
+  CdfGrid grid;
+  grid.steps = steps;
+  grid.cdf.resize(objs.size() * width);
+  for (size_t i = 0; i < objs.size(); ++i) {
+    DistanceDistribution(*objs[i], q)
+        .CdfRow(radii.data(), width, grid.cdf.data() + i * width);
+  }
+  return grid;
+}
+
+std::vector<double> ProductsOfOthers(const std::vector<double>& factors, size_t c,
+                                     size_t g) {
+  UVD_DCHECK_EQ(factors.size(), c * g);
+  std::vector<double> out(c * g, 1.0);
+  if (c == 0) return out;
+  // Suffix products first: out[i] = prod_{j > i} factors[j] ...
+  for (size_t i = c - 1; i-- > 0;) {
+    const double* next = factors.data() + (i + 1) * g;
+    const double* after = out.data() + (i + 1) * g;
+    double* row = out.data() + i * g;
+    for (size_t k = 0; k < g; ++k) row[k] = after[k] * next[k];
+  }
+  // ... then times the running prefix prod_{j < i} factors[j].
+  std::vector<double> prefix(g, 1.0);
+  for (size_t i = 0; i < c; ++i) {
+    const double* f = factors.data() + i * g;
+    double* row = out.data() + i * g;
+    for (size_t k = 0; k < g; ++k) {
+      row[k] *= prefix[k];
+      prefix[k] *= f[k];
+    }
+  }
+  return out;
+}
+
 std::vector<PnnAnswer> ComputeQualificationProbabilities(
     const std::vector<const UncertainObject*>& candidates, const geom::Point& q,
     const QualificationOptions& options, Stats* stats) {
@@ -36,47 +89,30 @@ std::vector<PnnAnswer> ComputeQualificationProbabilities(
     return answers;
   }
 
-  // Integration domain: from the smallest possible NN distance to d_minmax
-  // (beyond which some candidate is certainly closer).
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = std::numeric_limits<double>::infinity();
-  for (const UncertainObject* o : objs) {
-    lo = std::min(lo, o->DistMin(q));
-    hi = std::min(hi, o->DistMax(q));
-  }
   const int m = std::max(2, options.integration_steps);
-  UVD_DCHECK_LE(lo, hi);
-
-  // Distance CDFs on a shared grid.
+  const size_t steps = static_cast<size_t>(m);
   const size_t c = objs.size();
-  std::vector<DistanceDistribution> dists;
-  dists.reserve(c);
-  for (const UncertainObject* o : objs) dists.emplace_back(*o, q);
+  const CdfGrid grid = ComputeCdfGrid(objs, q, m);
 
-  std::vector<std::vector<double>> cdf(c, std::vector<double>(m + 1));
-  for (size_t i = 0; i < c; ++i) {
-    for (int k = 0; k <= m; ++k) {
-      const double r = lo + (hi - lo) * static_cast<double>(k) / m;
-      cdf[i][static_cast<size_t>(k)] = dists[i].Cdf(r);
+  // Midpoint survival of each candidate per grid cell: 1 - F_j(midpoint).
+  std::vector<double> survive(c * steps);
+  for (size_t j = 0; j < c; ++j) {
+    const double* f = grid.row(j);
+    for (size_t k = 0; k < steps; ++k) {
+      survive[j * steps + k] = 1.0 - 0.5 * (f[k] + f[k + 1]);
     }
   }
+  const std::vector<double> others = ProductsOfOthers(survive, c, steps);
 
   // P_i = sum over grid cells of dF_i * prod_{j != i} (1 - F_j(midpoint)).
   answers.reserve(c);
   for (size_t i = 0; i < c; ++i) {
+    const double* f = grid.row(i);
+    const double* s = others.data() + i * steps;
     double p = 0.0;
-    for (int k = 0; k < m; ++k) {
-      const double df = cdf[i][static_cast<size_t>(k) + 1] - cdf[i][static_cast<size_t>(k)];
-      if (df <= 0.0) continue;
-      double survive = 1.0;
-      for (size_t j = 0; j < c; ++j) {
-        if (j == i) continue;
-        const double fj = 0.5 * (cdf[j][static_cast<size_t>(k)] +
-                                 cdf[j][static_cast<size_t>(k) + 1]);
-        survive *= (1.0 - fj);
-        if (survive == 0.0) break;
-      }
-      p += df * survive;
+    for (size_t k = 0; k < steps; ++k) {
+      const double df = f[k + 1] - f[k];
+      if (df > 0.0) p += df * s[k];
     }
     if (p > 0.0) answers.push_back({objs[i]->id(), p});
   }

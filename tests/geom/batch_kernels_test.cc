@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "core/uv_edge.h"
 #include "geom/batch/hyperbola_batch.h"
 #include "geom/box.h"
+#include "geom/circle_ops.h"
 #include "geom/envelope.h"
 #include "geom/hyperbola.h"
 
@@ -224,6 +227,73 @@ TEST(HyperbolaBatchTest, MatchesScalarHyperbolaBitwise) {
     for (size_t p = 0; p < xs.size(); ++p) {
       ASSERT_EQ(out[p] != 0, scalar[i].InOutsideRegion({xs[p], ys[p]}))
           << i << "," << p;
+    }
+  }
+}
+
+// LensAreas must agree with geom::LensArea to 1e-12 of the larger disk's
+// area: the only difference is the rational acos.
+void ExpectLensAreasNearScalar(double dist, const std::vector<double>& r1,
+                               const std::vector<double>& r2) {
+  std::vector<double> out(r1.size(), -1.0);
+  LensAreas(dist, r1.data(), r2.data(), r1.size(), out.data());
+  for (size_t i = 0; i < r1.size(); ++i) {
+    const double rmax = std::max(r1[i], r2[i]);
+    EXPECT_NEAR(out[i], LensArea(dist, r1[i], r2[i]), 1e-12 * M_PI * rmax * rmax)
+        << "dist=" << dist << " r1=" << r1[i] << " r2=" << r2[i];
+  }
+}
+
+TEST(LensAreasTest, MatchesLensAreaOnRandomPairs) {
+  Rng rng(41);
+  for (int trial = 0; trial < 200; ++trial) {
+    const double dist = rng.Uniform(0.0, 60.0);
+    const size_t n = static_cast<size_t>(rng.UniformInt(0, 37));
+    std::vector<double> r1(n), r2(n);
+    for (size_t i = 0; i < n; ++i) {
+      r1[i] = rng.Uniform(0.0, 50.0);
+      r2[i] = rng.Uniform(0.0, 50.0);
+    }
+    ExpectLensAreasNearScalar(dist, r1, r2);
+  }
+}
+
+TEST(LensAreasTest, MatchesLensAreaOnEdgeCases) {
+  const double tiny = 1e-9;
+  // Tangency (outer and inner), containment both ways, zero radii, equal
+  // radii, and the vanishing center distance with equal and unequal radii.
+  ExpectLensAreasNearScalar(10.0, {4.0, 6.0, 4.0 + tiny, 3.0, 16.0, 14.0, 0.0, 5.0},
+                            {6.0, 4.0, 6.0, 13.0, 6.0, 4.0, 5.0, 0.0});
+  ExpectLensAreasNearScalar(10.0, {5.0, 7.5, 10.0, 20.0, 6.0 - tiny, 4.0 - tiny},
+                            {5.0, 7.5, 10.0, 20.0, 4.0, 6.0});
+  for (double dist : {0.0, 1e-300, 1e-12, 1e-6}) {
+    ExpectLensAreasNearScalar(dist, {3.0, 3.0, 2.0, 3.0, 0.0},
+                              {3.0, 2.0, 3.0, 3.0 + 1e-12, 0.0});
+  }
+  const std::vector<double> r1{0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0};
+  std::vector<double> out(r1.size());
+  LensAreas(0.0, r1.data(), r1.data(), r1.size(), out.data());
+  for (size_t i = 0; i < r1.size(); ++i) {
+    EXPECT_EQ(out[i], M_PI * r1[i] * r1[i]) << "concentric equal disks";
+  }
+}
+
+TEST(LensAreasTest, IntrinsicsPathMatchesScalarLanesBitwise) {
+  Rng rng(43);
+  // Block multiples and tails; each lane must equal the scalar fallback
+  // bit for bit (the UVD_ENABLE_SIMD ON/OFF contract).
+  for (size_t n : {0u, 1u, 3u, 4u, 5u, 8u, 13u, 64u, 257u}) {
+    const double dist = rng.Uniform(0.0, 40.0);
+    std::vector<double> r1(n), r2(n), out(n);
+    for (size_t i = 0; i < n; ++i) {
+      r1[i] = rng.Uniform(0.0, 1.0) < 0.1 ? 0.0 : rng.Uniform(0.0, 45.0);
+      r2[i] = rng.Uniform(0.0, 1.0) < 0.1 ? r1[i] : rng.Uniform(0.0, 45.0);
+    }
+    LensAreas(dist, r1.data(), r2.data(), n, out.data());
+    for (size_t i = 0; i < n; ++i) {
+      const double lane = LensAreaLane(dist, r1[i], r2[i]);
+      ASSERT_EQ(std::memcmp(&out[i], &lane, sizeof(double)), 0)
+          << "n=" << n << " i=" << i << " " << out[i] << " vs " << lane;
     }
   }
 }

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 
 #include "common/random.h"
 #include "core/uv_diagram.h"
@@ -142,6 +144,41 @@ TEST(LiveInsertTest, ManyInsertsLengthenLeafChains) {
   }
   EXPECT_EQ(diagram.index().num_nonleaf(), nonleaf_before) << "no live splits";
   EXPECT_GE(diagram.index().total_leaf_pages(), pages_before);
+}
+
+TEST(LiveInsertTest, FileBackedInsertsAddOnlyAFewPages) {
+  // The R-tree that InsertObject rebuilds lives on its own in-RAM page
+  // manager: each insert may append an object record and lengthen a few
+  // leaf chains, but must not bulk-load another R-tree into the file.
+  datagen::DatasetOptions opts;
+  opts.count = 2000;
+  opts.seed = 29;
+  UVDiagram::Options options;
+  const std::string path = ::testing::TempDir() + "/uvd_live_insert_growth";
+  std::remove(path.c_str());
+  options.storage_path = path;
+  options.buffer_pool_pages = 64;
+  auto diagram = UVDiagram::Build(datagen::GenerateUniform(opts),
+                                  datagen::DomainFor(opts), options)
+                     .ValueOrDie();
+  const size_t rtree_pages = diagram.rtree().num_leaf_pages();
+  const uint64_t bytes_before = diagram.page_manager().bytes_on_disk();
+  Rng rng(31);
+  constexpr int kInserts = 30;
+  for (int k = 0; k < kInserts; ++k) {
+    const int id = static_cast<int>(diagram.objects().size());
+    ASSERT_TRUE(diagram
+                    .InsertObject(uncertain::UncertainObject::WithGaussianPdf(
+                        id, {{rng.Uniform(0, 10000), rng.Uniform(0, 10000)}, 20}))
+                    .ok());
+  }
+  const double pages_per_insert =
+      static_cast<double>(diagram.page_manager().bytes_on_disk() - bytes_before) /
+      static_cast<double>(diagram.page_manager().page_size()) / kInserts;
+  EXPECT_LE(pages_per_insert, 3.0) << "R-tree leaf pages: " << rtree_pages;
+  EXPECT_LT(pages_per_insert, static_cast<double>(rtree_pages));
+  ASSERT_TRUE(diagram.CloseStorage().ok());
+  std::remove(path.c_str());
 }
 
 }  // namespace

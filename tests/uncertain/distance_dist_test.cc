@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "common/random.h"
+#include "geom/circle_ops.h"
 #include "uncertain/monte_carlo.h"
 
 namespace uvd {
@@ -16,6 +21,59 @@ UncertainObject MakeObj(int id, geom::Point c, double r,
     return UncertainObject(id, geom::Circle(c, r), RadialHistogramPdf::Gaussian(r));
   }
   return UncertainObject(id, geom::Circle(c, r), RadialHistogramPdf::Uniform(r));
+}
+
+TEST(DistanceDistTest, CdfRowMatchesOnePointCdfBitwise) {
+  Rng rng(12);
+  for (int trial = 0; trial < 20; ++trial) {
+    const auto obj = MakeObj(0, {rng.Uniform(-30, 30), rng.Uniform(-30, 30)},
+                             rng.Uniform(1, 20),
+                             trial % 2 == 0 ? PdfKind::kGaussian : PdfKind::kUniform);
+    const geom::Point q{rng.Uniform(-10, 10), rng.Uniform(-10, 10)};
+    DistanceDistribution dist(obj, q);
+    std::vector<double> radii;
+    for (int k = 0; k <= 100; ++k) {
+      radii.push_back(dist.lower() - 1.0 + (dist.upper() - dist.lower() + 2.0) * k / 100);
+    }
+    std::vector<double> row(radii.size());
+    dist.CdfRow(radii.data(), radii.size(), row.data());
+    for (size_t k = 0; k < radii.size(); ++k) {
+      EXPECT_EQ(row[k], dist.Cdf(radii[k])) << "trial " << trial << " k " << k;
+    }
+  }
+}
+
+TEST(DistanceDistTest, CdfMatchesPerBarAnnulusAreas) {
+  // Against the per-bar sum the row code replaced: bars wholly inside or
+  // outside the disk count 1 or 0 (their near-tangent lens areas lose
+  // digits in the acos), straddling bars mass * (annulus-disk
+  // intersection / ring area) with std::acos lens areas.
+  Rng rng(13);
+  for (int trial = 0; trial < 20; ++trial) {
+    const auto obj = MakeObj(0, {rng.Uniform(-30, 30), rng.Uniform(-30, 30)},
+                             rng.Uniform(1, 20));
+    const geom::Point q{rng.Uniform(-10, 10), rng.Uniform(-10, 10)};
+    DistanceDistribution dist(obj, q);
+    const RadialHistogramPdf& pdf = obj.pdf();
+    for (int k = 1; k < 50; ++k) {
+      const double d = dist.lower() + (dist.upper() - dist.lower()) * k / 50;
+      double want = 0.0;
+      const double center_dist = geom::Distance(obj.center(), q);
+      for (int b = 0; b < pdf.num_bars(); ++b) {
+        const double r_in = pdf.RingInner(b);
+        const double r_out = pdf.RingOuter(b);
+        if (center_dist + r_out <= d) {
+          want += pdf.bars()[static_cast<size_t>(b)];
+          continue;
+        }
+        if (std::max(center_dist - r_out, r_in - center_dist) >= d) continue;
+        want += pdf.bars()[static_cast<size_t>(b)] *
+                geom::AnnulusCircleIntersectionArea(q, d, obj.center(), r_in, r_out) /
+                (M_PI * (r_out * r_out - r_in * r_in));
+      }
+      EXPECT_NEAR(dist.Cdf(d), want, 1e-13) << "trial " << trial << " d " << d;
+    }
+  }
 }
 
 TEST(DistanceDistTest, SupportBounds) {

@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "common/random.h"
+#include "geom/circle_ops.h"
 #include "uncertain/monte_carlo.h"
 
 namespace uvd {
@@ -156,6 +161,168 @@ TEST(QualificationTest, StatsTicker) {
   objs.push_back(Gauss(1, {4, 0}, 1));
   ComputeQualificationProbabilities(Refs(objs), {0, 0}, {}, &stats);
   EXPECT_EQ(stats.Get(Ticker::kQualificationIntegrations), 1u);
+}
+
+// The O(c^2 * m) integral this library shipped before the row CDF, the
+// batched lens areas and the prefix/suffix products: per-point CDFs from
+// two std::acos lens areas per straddling bar, and the survival product
+// re-multiplied over j != i for every candidate and grid cell.
+double ReferenceCdf(const UncertainObject& obj, const geom::Point& q, double d) {
+  const double lower = obj.DistMin(q);
+  const double upper = obj.DistMax(q);
+  const double center_dist = geom::Distance(obj.center(), q);
+  if (d <= lower) return d == upper ? 1.0 : 0.0;
+  if (d >= upper) return 1.0;
+  if (obj.radius() <= 0.0) return d >= center_dist ? 1.0 : 0.0;
+  const RadialHistogramPdf& pdf = obj.pdf();
+  double acc = 0.0;
+  for (int b = 0; b < pdf.num_bars(); ++b) {
+    const double mass = pdf.bars()[static_cast<size_t>(b)];
+    if (mass == 0.0) continue;
+    const double r_in = pdf.RingInner(b);
+    const double r_out = pdf.RingOuter(b);
+    if (center_dist + r_out <= d) {
+      acc += mass;
+      continue;
+    }
+    if (std::max(0.0, std::max(center_dist - r_out, r_in - center_dist)) >= d) continue;
+    const double ring_area = M_PI * (r_out * r_out - r_in * r_in);
+    acc += mass * (geom::AnnulusCircleIntersectionArea(q, d, obj.center(), r_in, r_out) /
+                   ring_area);
+  }
+  return std::clamp(acc, 0.0, 1.0);
+}
+
+std::vector<PnnAnswer> ReferenceQualification(
+    const std::vector<const UncertainObject*>& candidates, const geom::Point& q,
+    int m) {
+  std::vector<PnnAnswer> answers;
+  const std::vector<const UncertainObject*> objs = FilterByDMinMax(candidates, q);
+  if (objs.empty()) return answers;
+  if (objs.size() == 1) return {{objs[0]->id(), 1.0}};
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  for (const UncertainObject* o : objs) {
+    lo = std::min(lo, o->DistMin(q));
+    hi = std::min(hi, o->DistMax(q));
+  }
+  const size_t c = objs.size();
+  std::vector<std::vector<double>> cdf(c, std::vector<double>(m + 1));
+  for (size_t i = 0; i < c; ++i) {
+    for (int k = 0; k <= m; ++k) {
+      cdf[i][static_cast<size_t>(k)] =
+          ReferenceCdf(*objs[i], q, lo + (hi - lo) * static_cast<double>(k) / m);
+    }
+  }
+  for (size_t i = 0; i < c; ++i) {
+    double p = 0.0;
+    for (size_t k = 0; k < static_cast<size_t>(m); ++k) {
+      const double df = cdf[i][k + 1] - cdf[i][k];
+      if (df <= 0.0) continue;
+      double survive = 1.0;
+      for (size_t j = 0; j < c; ++j) {
+        if (j != i) survive *= 1.0 - 0.5 * (cdf[j][k] + cdf[j][k + 1]);
+      }
+      p += df * survive;
+    }
+    if (p > 0.0) answers.push_back({objs[i]->id(), p});
+  }
+  return answers;
+}
+
+double ProbabilityOf(const std::vector<PnnAnswer>& answers, int id) {
+  for (const PnnAnswer& a : answers) {
+    if (a.id == id) return a.probability;
+  }
+  return 0.0;
+}
+
+// Every answer of `got` within `tol` of `want`, and the same answer set.
+void ExpectSameAnswers(const std::vector<PnnAnswer>& got,
+                       const std::vector<PnnAnswer>& want, double tol,
+                       const std::string& label) {
+  EXPECT_EQ(got.size(), want.size()) << label;
+  for (const PnnAnswer& a : want) {
+    EXPECT_NEAR(ProbabilityOf(got, a.id), a.probability, tol)
+        << label << " object " << a.id;
+  }
+}
+
+// A tight cluster: 17 candidates whose distance ranges all overlap the
+// query's d_minmax (the clustered-PNN shape of the benchmark).
+std::vector<UncertainObject> Cluster17() {
+  std::vector<UncertainObject> objs;
+  Rng rng(17);
+  while (objs.size() < 17) {
+    const double angle = rng.Uniform(0.0, 2.0 * M_PI);
+    const double dist = rng.Uniform(18.0, 30.0);
+    objs.push_back(Gauss(static_cast<int>(objs.size()),
+                         {dist * std::cos(angle), dist * std::sin(angle)}, 20.0));
+  }
+  return objs;
+}
+
+TEST(QualificationTest, MatchesReferenceIntegral) {
+  Rng rng(99);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<UncertainObject> objs;
+    const int n = 2 + static_cast<int>(rng.UniformInt(0, 10));
+    for (int i = 0; i < n; ++i) {
+      objs.push_back(Gauss(i, {rng.Uniform(-40, 40), rng.Uniform(-40, 40)},
+                           rng.Uniform(0.5, 20)));
+    }
+    const geom::Point q{rng.Uniform(-10, 10), rng.Uniform(-10, 10)};
+    ExpectSameAnswers(ComputeQualificationProbabilities(Refs(objs), q),
+                      ReferenceQualification(Refs(objs), q, 240), 1e-12,
+                      "trial " + std::to_string(trial));
+  }
+  const auto cluster = Cluster17();
+  ASSERT_EQ(FilterByDMinMax(Refs(cluster), {0, 0}).size(), 17u);
+  ExpectSameAnswers(ComputeQualificationProbabilities(Refs(cluster), {0, 0}),
+                    ReferenceQualification(Refs(cluster), {0, 0}, 240), 1e-12,
+                    "cluster");
+}
+
+TEST(QualificationTest, WithinMidpointErrorOfFineGrid) {
+  // m = 240 against m = 4096: the midpoint-rule error the benchmark
+  // reports as pnn_prob_err_max (~3e-5).
+  QualificationOptions fine;
+  fine.integration_steps = 4096;
+  const auto cluster = Cluster17();
+  ExpectSameAnswers(ComputeQualificationProbabilities(Refs(cluster), {0, 0}),
+                    ComputeQualificationProbabilities(Refs(cluster), {0, 0}, fine),
+                    1e-4, "cluster");
+  Rng rng(3);
+  for (int trial = 0; trial < 10; ++trial) {
+    std::vector<UncertainObject> objs;
+    for (int i = 0; i < 6; ++i) {
+      objs.push_back(Gauss(i, {rng.Uniform(-30, 30), rng.Uniform(-30, 30)},
+                           rng.Uniform(5, 20)));
+    }
+    ExpectSameAnswers(ComputeQualificationProbabilities(Refs(objs), {0, 0}),
+                      ComputeQualificationProbabilities(Refs(objs), {0, 0}, fine),
+                      1e-4, "trial " + std::to_string(trial));
+  }
+}
+
+TEST(QualificationTest, ProductsOfOthersMatchesDirectProducts) {
+  Rng rng(5);
+  for (size_t c : {1u, 2u, 3u, 7u}) {
+    const size_t g = 5;
+    std::vector<double> factors(c * g);
+    for (double& f : factors) f = rng.Uniform(0.0, 1.0) < 0.2 ? 0.0 : rng.Uniform(0.0, 1.0);
+    const std::vector<double> out = ProductsOfOthers(factors, c, g);
+    ASSERT_EQ(out.size(), c * g);
+    for (size_t i = 0; i < c; ++i) {
+      for (size_t k = 0; k < g; ++k) {
+        double direct = 1.0;
+        for (size_t j = 0; j < c; ++j) {
+          if (j != i) direct *= factors[j * g + k];
+        }
+        EXPECT_NEAR(out[i * g + k], direct, 1e-15) << "c=" << c << " i=" << i;
+      }
+    }
+  }
 }
 
 TEST(MonteCarloTest, SamplePositionsInsideRegion) {

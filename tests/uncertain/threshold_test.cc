@@ -44,6 +44,44 @@ TEST(ThresholdTest, BoundsBracketExactProbabilities) {
   }
 }
 
+TEST(ThresholdTest, BoundsMatchDirectEndpointProducts) {
+  // The left/right survival products re-multiplied over j != i per cell
+  // (the O(c^2 * m) form) on the same CDF grid.
+  Rng rng(23);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<UncertainObject> objs;
+    const int n = 2 + static_cast<int>(rng.UniformInt(0, 8));
+    for (int i = 0; i < n; ++i) {
+      objs.push_back(Gauss(i, {rng.Uniform(-40, 40), rng.Uniform(-40, 40)},
+                           rng.Uniform(2, 15)));
+    }
+    const geom::Point q{0, 0};
+    const auto bounds = QualificationBounds(Refs(objs), q, 16);
+    const auto kept = FilterByDMinMax(Refs(objs), q);
+    ASSERT_EQ(bounds.size(), kept.size());
+    if (kept.size() < 2) continue;
+    const CdfGrid grid = ComputeCdfGrid(kept, q, 16);
+    for (size_t i = 0; i < kept.size(); ++i) {
+      double lower = 0.0, upper = 0.0;
+      for (int k = 0; k < 16; ++k) {
+        const double df = grid.row(i)[k + 1] - grid.row(i)[k];
+        if (df <= 0.0) continue;
+        double left = 1.0, right = 1.0;
+        for (size_t j = 0; j < kept.size(); ++j) {
+          if (j == i) continue;
+          left *= 1.0 - grid.row(j)[k];
+          right *= 1.0 - grid.row(j)[k + 1];
+        }
+        lower += df * right;
+        upper += df * left;
+      }
+      EXPECT_EQ(bounds[i].id, kept[i]->id());
+      EXPECT_NEAR(bounds[i].lower, std::clamp(lower, 0.0, 1.0), 1e-12) << trial;
+      EXPECT_NEAR(bounds[i].upper, std::clamp(upper, 0.0, 1.0), 1e-12) << trial;
+    }
+  }
+}
+
 TEST(ThresholdTest, FinerGridTightensBounds) {
   std::vector<UncertainObject> objs;
   objs.push_back(Gauss(0, {6, 0}, 5));
