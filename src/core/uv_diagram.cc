@@ -1,5 +1,7 @@
 #include "core/uv_diagram.h"
 
+#include <cmath>
+
 #include "core/uv_index_io.h"
 #include "storage/record.h"
 
@@ -15,6 +17,35 @@ constexpr uint32_t kDiagramBootstrapMagic = 0x55564442;  // "UVDB"
 constexpr uint32_t kDiagramBootstrapVersion = 1;
 constexpr uint32_t kDiagramManifestMagic = 0x5556444D;  // "UVDM"
 constexpr uint32_t kDiagramManifestVersion = 1;
+
+// Everything InsertObject requires of a new object, checked before any
+// state changes.
+Status ValidateNewObject(const uncertain::UncertainObject& object, int expected_id,
+                         const geom::Box& domain) {
+  if (object.id() != expected_id) {
+    return Status::InvalidArgument("new object id must equal objects().size()");
+  }
+  if (!std::isfinite(object.center().x) || !std::isfinite(object.center().y)) {
+    return Status::InvalidArgument("object center is not finite");
+  }
+  if (!std::isfinite(object.radius()) || object.radius() < 0.0) {
+    return Status::InvalidArgument("object radius must be finite and >= 0");
+  }
+  double mass = 0.0;
+  for (double bar : object.pdf().bars()) {
+    if (!(bar >= 0.0)) {
+      return Status::InvalidArgument("pdf bar masses must be >= 0");
+    }
+    mass += bar;
+  }
+  if (!(std::abs(mass - 1.0) <= 1e-9)) {
+    return Status::InvalidArgument("pdf bar masses must sum to 1");
+  }
+  if (!domain.Contains(object.center())) {
+    return Status::InvalidArgument("object center outside the domain");
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -212,35 +243,31 @@ void UVDiagram::RefreshRtreeIfStale() const {
   MutexLock lock(*rtree_mu_);
   if (!rtree_stale_) return;
   // Reopened diagrams start without an R-tree (it is derivable, not
-  // persisted) and materialize it here on first use.
-  auto pm = std::make_unique<storage::PageManager>(options_.page_size, stats_);
-  auto tree = rtree::RTree::BulkLoad(objects_, ptrs_, pm.get(), options_.rtree, stats_);
+  // persisted) and materialize it here on first use; live inserts keep it
+  // current in place after that.
+  rtree_pm_ = std::make_unique<storage::PageManager>(options_.page_size, stats_);
+  auto tree = rtree::RTree::BulkLoad(objects_, ptrs_, rtree_pm_.get(), options_.rtree,
+                                     stats_);
   UVD_CHECK(tree.ok()) << tree.status().ToString();
   rtree_ = std::make_unique<rtree::RTree>(std::move(tree).value());
-  rtree_pm_ = std::move(pm);  // after the old tree is gone
   rtree_stale_ = false;
 }
 
 Status UVDiagram::InsertObject(uncertain::UncertainObject object) {
-  if (object.id() != static_cast<int>(objects_.size())) {
-    return Status::InvalidArgument("new object id must equal objects().size()");
-  }
-  if (!domain_.Contains(object.center())) {
-    return Status::InvalidArgument("object center outside the domain");
-  }
+  UVD_RETURN_NOT_OK(ValidateNewObject(object, static_cast<int>(objects_.size()),
+                                      domain_));
+  // A reopened diagram bulk-loads its R-tree over the current population
+  // here, once; every later insert grows it in place.
+  RefreshRtreeIfStale();
   // Persist the record and register the object.
   auto ptr = store_->Append(object);
   if (!ptr.ok()) return ptr.status();
   objects_.push_back(std::move(object));
   ptrs_.push_back(ptr.value());
-  {
-    MutexLock lock(*rtree_mu_);
-    rtree_stale_ = true;
-  }
+  UVD_RETURN_NOT_OK(
+      rtree_->Insert({objects_.back().id(), objects_.back().Mbc(), ptrs_.back()}));
 
-  // Derive the new object's cr-objects against the full population (the
-  // lazily rebuilt R-tree covers every earlier insert).
-  RefreshRtreeIfStale();
+  // Derive the new object's cr-objects against the full population.
   const CrObjectFinder finder(objects_, *rtree_, domain_, options_.cr, stats_);
   const CrResult cr = finder.Find(objects_.size() - 1);
   std::vector<geom::Circle> cr_regions;

@@ -90,9 +90,9 @@ class UVDiagram {
   /// is deserialized, and page reads flow through the (optional) buffer
   /// pool. `options.page_size` is ignored — the file's metapage rules.
   /// The R-tree is NOT rebuilt eagerly; the first R-tree-path call
-  /// (QueryPnnWithRtree / rtree()) reconstructs it from the reloaded
-  /// objects. Failure codes are the storage layer's typed ones: a damaged
-  /// file yields Corruption (etc.), never a silently wrong diagram.
+  /// (QueryPnnWithRtree / rtree() / InsertObject) bulk-loads it from the
+  /// reloaded objects. Failure codes are the storage layer's typed ones: a
+  /// damaged file yields Corruption (etc.), never a silently wrong diagram.
   static Result<UVDiagram> Open(const std::string& path,
                                 const Options& options = {},
                                 Stats* stats = nullptr);
@@ -116,9 +116,13 @@ class UVDiagram {
   /// Incremental insertion (paper Sec. VII future work): derives the new
   /// object's cr-objects against the current population and appends it to
   /// the frozen grid (UVIndex::InsertObjectLive). The object id must be
-  /// objects().size(). The R-tree is rebuilt lazily before its next use,
-  /// so both query paths stay consistent. Suitable for modest insert
-  /// rates; rebuild the diagram when leaf chains degrade.
+  /// objects().size(); the center must be finite and inside the domain,
+  /// the radius finite and >= 0, and the pdf's bar masses >= 0 summing to
+  /// 1 (within 1e-9). A violation returns InvalidArgument before any state
+  /// changes. The object is added to the R-tree in place (RTree::Insert),
+  /// so both query paths stay consistent; after Open the first insert
+  /// bulk-loads the tree once. Rebuild the diagram when leaf chains
+  /// degrade. Must not overlap any query or other mutation.
   Status InsertObject(uncertain::UncertainObject object);
 
   /// PNN through the UV-index (paper Sec. V-A). Errors (I/O failures,
@@ -155,16 +159,13 @@ class UVDiagram {
  private:
   UVDiagram() = default;
 
-  /// Rebuilds the R-tree if live inserts made it stale. The staleness
-  /// check and the rebuild run under rtree_mu_, so concurrent R-tree-path
-  /// callers (QueryPnnWithRtree, rtree()) cannot both rebuild or observe
-  /// a half-built tree (the lazy mutation under `const` used to race).
-  /// A rebuild bulk-loads into a fresh private in-RAM page manager and
-  /// then drops the old tree with its pages, so live inserts do not grow
-  /// the diagram's store. Replacing the tree must not overlap any R-tree
-  /// reader; today that holds because rebuilds only actually fire inside
-  /// InsertObject — a mutation, which callers already must not overlap
-  /// with queries.
+  /// Bulk-loads the R-tree on its first use after Open (it is derivable,
+  /// not persisted); a no-op otherwise, since Build loads it eagerly and
+  /// InsertObject grows it in place. The check and the load run under
+  /// rtree_mu_, so concurrent R-tree-path callers (QueryPnnWithRtree,
+  /// rtree()) cannot both load or observe a half-built tree. The tree
+  /// lives on a private in-RAM page manager, so neither the load nor
+  /// later inserts grow the diagram's store.
   void RefreshRtreeIfStale() const;
 
   std::vector<uncertain::UncertainObject> objects_;
@@ -181,14 +182,14 @@ class UVDiagram {
   /// rtree_ so the tree is destroyed first.
   mutable std::unique_ptr<storage::PageManager> rtree_pm_;
   mutable std::unique_ptr<rtree::RTree> rtree_;
-  /// Guards rtree_stale_ and the lazy rebuild of *rtree_. A unique_ptr so
-  /// UVDiagram stays movable (Result<UVDiagram> returns by value); the
-  /// analysis tracks the capability through the dereference
-  /// (UVD_GUARDED_BY(*rtree_mu_)). The rebuilt R-tree VALUE is read
-  /// lock-free on query paths — that is safe because rebuilds only fire
-  /// inside InsertObject, which callers must not overlap with queries
-  /// (see RefreshRtreeIfStale below), so only the staleness flag carries
-  /// the annotation.
+  /// Guards rtree_stale_ and the lazy first-use bulk load of *rtree_
+  /// after Open. A unique_ptr so UVDiagram stays movable
+  /// (Result<UVDiagram> returns by value); the analysis tracks the
+  /// capability through the dereference (UVD_GUARDED_BY(*rtree_mu_)). The
+  /// R-tree VALUE is read lock-free on query paths: once loaded it changes
+  /// only inside InsertObject (RTree::Insert), which callers must not
+  /// overlap with queries, so only the staleness flag carries the
+  /// annotation.
   mutable std::unique_ptr<Mutex> rtree_mu_ = std::make_unique<Mutex>();
   mutable bool rtree_stale_ UVD_GUARDED_BY(*rtree_mu_) = false;
   std::unique_ptr<UVIndex> index_;

@@ -313,11 +313,13 @@ Status UVIndex::InsertObject(const geom::Circle& region, int id,
 
 UVIndex::Member UVIndex::MakeMember(const geom::Circle& region, int id,
                                     uncertain::ObjectPtr ptr,
-                                    std::vector<geom::Circle> cr_regions) const {
+                                    std::vector<geom::Circle> cr_regions,
+                                    bool with_cell) const {
   Member member{region, id, ptr, std::move(cr_regions), nullptr, {}};
   if (options_.kernel_mode == geom::KernelMode::kBatch) {
     member.cr_soa.Assign(member.cr_regions);
   }
+  if (!with_cell) return member;
   // The interior fast path (envelope containment) only pays off when the
   // cr-object scan it replaces is long; small sets are cheaper to scan
   // directly than to summarize. RadialEnvelope anchors must lie inside the
@@ -333,6 +335,13 @@ UVIndex::Member UVIndex::MakeMember(const geom::Circle& region, int id,
     }
   }
   return member;
+}
+
+void UVIndex::DropConstructionCaches(Member* m) {
+  m->cr_regions.clear();
+  m->cr_regions.shrink_to_fit();
+  m->cell.reset();
+  m->cr_soa = geom::batch::CircleSoA();
 }
 
 std::vector<uint32_t> UVIndex::ComputeFrontier(int max_depth) const {
@@ -756,11 +765,7 @@ Status UVIndex::FinalizeWith(ThreadPool* pool, int threads) {
   }
 
   // Drop the construction caches; ids/regions stay for pattern analysis.
-  for (Member& m : members_) {
-    m.cr_regions.clear();
-    m.cr_regions.shrink_to_fit();
-    m.cell.reset();
-  }
+  for (Member& m : members_) DropConstructionCaches(&m);
   for (Node& node : nodes_) {
     for (auto& list : node.split_cache) {
       list.clear();
@@ -784,7 +789,10 @@ Status UVIndex::InsertObjectLive(const geom::Circle& region, int id,
   if (!options_.accept_border_objects && !domain_.Contains(region.center)) {
     return Status::InvalidArgument("object center outside the domain");
   }
-  members_.push_back(MakeMember(region, id, ptr, std::move(cr_regions)));
+  // No cell envelope: it never changes an overlap decision, and one walk
+  // over the frozen grid checks too few nodes to repay building it.
+  members_.push_back(
+      MakeMember(region, id, ptr, std::move(cr_regions), /*with_cell=*/false));
   const uint32_t slot = static_cast<uint32_t>(members_.size() - 1);
 
   // Collect the overlapped leaves (no splits in live mode).
@@ -827,9 +835,7 @@ Status UVIndex::InsertObjectLive(const geom::Circle& region, int id,
   }
 
   // Match Finalize(): drop the construction caches for the new member.
-  members_[slot].cr_regions.clear();
-  members_[slot].cr_regions.shrink_to_fit();
-  members_[slot].cell.reset();
+  DropConstructionCaches(&members_[slot]);
   return Status::OK();
 }
 

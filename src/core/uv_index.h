@@ -284,8 +284,8 @@ class UVIndex {
     /// Node::member_hints instead.)
     std::unique_ptr<geom::RadialEnvelope> cell;
     /// SoA mirror of cr_regions for the batch 4-point kernel; filled by
-    /// MakeMember iff options_.kernel_mode == kBatch, dropped with the
-    /// member records at Finalize().
+    /// MakeMember iff options_.kernel_mode == kBatch, dropped with
+    /// cr_regions and cell (DropConstructionCaches).
     geom::batch::CircleSoA cr_soa;
   };
 
@@ -352,9 +352,15 @@ class UVIndex {
                            std::array<std::vector<uint32_t>, 4>* child_hints);
 
   /// Builds the construction-time member record; the cell envelope is only
-  /// materialized for large cr-sets where the interior fast path pays.
+  /// materialized for large cr-sets where the interior fast path pays, and
+  /// never when `with_cell` is false (live inserts).
   Member MakeMember(const geom::Circle& region, int id, uncertain::ObjectPtr ptr,
-                    std::vector<geom::Circle> cr_regions) const;
+                    std::vector<geom::Circle> cr_regions,
+                    bool with_cell = true) const;
+
+  /// Frees the member's construction caches (cr_regions, cell, cr_soa);
+  /// id, region and ptr stay for pattern analysis.
+  static void DropConstructionCaches(Member* m);
 
   /// Rebuilds the node's split cache from member_slots if invalid,
   /// threading each resident's member_hints entry through its four

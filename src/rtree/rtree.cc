@@ -46,6 +46,38 @@ std::vector<std::vector<Item>> StrPack(std::vector<Item> items, int capacity,
   return groups;
 }
 
+// Splits an overflowing group in half: sorts it by box center along the
+// longer axis of `mbr` (x when square), ties by `key`, keeps the lower half
+// in *items and returns the upper half.
+template <typename Item, typename GetBox, typename GetKey>
+std::vector<Item> SplitHalf(std::vector<Item>* items, const geom::Box& mbr,
+                            const GetBox& get_box, const GetKey& key) {
+  const bool by_x = mbr.Width() >= mbr.Height();
+  const auto coord = [&](const Item& item) {
+    const geom::Point c = get_box(item).Center();
+    return by_x ? c.x : c.y;
+  };
+  std::sort(items->begin(), items->end(), [&](const Item& a, const Item& b) {
+    const double ca = coord(a);
+    const double cb = coord(b);
+    if (ca != cb) return ca < cb;
+    return key(a) < key(b);
+  });
+  const size_t keep = (items->size() + 1) / 2;
+  std::vector<Item> upper(items->begin() + static_cast<long>(keep), items->end());
+  items->resize(keep);
+  return upper;
+}
+
+template <typename Item, typename GetBox>
+geom::Box UnionMbr(const std::vector<Item>& items, const GetBox& get_box) {
+  geom::Box mbr = geom::Box::Empty();
+  for (const Item& item : items) mbr.ExpandToInclude(get_box(item));
+  return mbr;
+}
+
+geom::Box EntryMbr(const LeafEntry& e) { return e.mbc.Mbr(); }
+
 }  // namespace
 
 Result<RTree> RTree::BulkLoad(const std::vector<uncertain::UncertainObject>& objects,
@@ -69,6 +101,7 @@ Result<RTree> RTree::BulkLoad(const std::vector<uncertain::UncertainObject>& obj
   RTree tree;
   tree.pm_ = pm;
   tree.stats_ = stats;
+  tree.fanout_ = options.fanout;
   tree.num_objects_ = objects.size();
 
   // Level 0: pack leaf entries into disk pages.
@@ -77,11 +110,9 @@ Result<RTree> RTree::BulkLoad(const std::vector<uncertain::UncertainObject>& obj
   for (size_t i = 0; i < objects.size(); ++i) {
     entries.push_back({objects[i].id(), objects[i].Mbc(), ptrs[i]});
   }
-  auto leaf_groups = StrPack(std::move(entries), options.fanout,
-                             [](const LeafEntry& e) { return e.mbc.Mbr(); });
+  auto leaf_groups = StrPack(std::move(entries), options.fanout, EntryMbr);
   for (const auto& group : leaf_groups) {
-    geom::Box mbr = geom::Box::Empty();
-    for (const LeafEntry& e : group) mbr.ExpandToInclude(e.mbc.Mbr());
+    const geom::Box mbr = UnionMbr(group, EntryMbr);
     std::vector<uint8_t> buf;
     EncodeLeafEntries(group.data(), group.size(), &buf);
     const storage::PageId page = pm->Allocate();
@@ -126,6 +157,97 @@ Result<RTree> RTree::BulkLoad(const std::vector<uncertain::UncertainObject>& obj
   }
   tree.root_ = level.front().index;
   return tree;
+}
+
+Status RTree::Insert(const LeafEntry& entry) {
+  const geom::Box box = entry.mbc.Mbr();
+  const auto enlargement = [&](const geom::Box& mbr) {
+    geom::Box grown = mbr;
+    grown.ExpandToInclude(box);
+    return grown.Area() - mbr.Area();
+  };
+
+  // ChooseLeaf, keeping the root-to-leaf path for split propagation.
+  std::vector<uint32_t> path;
+  uint32_t chosen = root_;
+  for (;;) {
+    path.push_back(chosen);
+    const Node& node = nodes_[chosen];
+    double best_growth = 0.0;
+    double best_area = 0.0;
+    for (size_t pos = 0; pos < node.children.size(); ++pos) {
+      const geom::Box& mbr = ChildMbr(node, node.children[pos]);
+      const double growth = enlargement(mbr);
+      const double area = mbr.Area();
+      if (pos == 0 || growth < best_growth ||
+          (growth == best_growth && area < best_area)) {
+        best_growth = growth;
+        best_area = area;
+        chosen = node.children[pos];
+      }
+    }
+    if (node.leaf_children) break;
+  }
+
+  // Add the entry to its leaf page, splitting the page on overflow.
+  const uint32_t leaf = chosen;
+  std::vector<LeafEntry> entries;
+  UVD_RETURN_NOT_OK(ReadLeaf(leaf_pages_[leaf], &entries));
+  entries.push_back(entry);
+  geom::Box leaf_mbr = leaf_mbrs_[leaf];
+  leaf_mbr.ExpandToInclude(box);
+  std::vector<uint8_t> buf;
+  bool split = entries.size() > static_cast<size_t>(fanout_);
+  uint32_t new_child = 0;
+  if (split) {
+    const std::vector<LeafEntry> upper = SplitHalf(
+        &entries, leaf_mbr, EntryMbr, [](const LeafEntry& e) { return e.id; });
+    const storage::PageId page = pm_->Allocate();
+    EncodeLeafEntries(upper.data(), upper.size(), &buf);
+    UVD_RETURN_NOT_OK(pm_->Write(page, buf));
+    new_child = static_cast<uint32_t>(leaf_pages_.size());
+    leaf_pages_.push_back(page);
+    leaf_mbrs_.push_back(UnionMbr(upper, EntryMbr));
+    leaf_mbr = UnionMbr(entries, EntryMbr);
+    buf.clear();
+  }
+  EncodeLeafEntries(entries.data(), entries.size(), &buf);
+  UVD_RETURN_NOT_OK(pm_->Write(leaf_pages_[leaf], buf));
+  leaf_mbrs_[leaf] = leaf_mbr;
+  ++num_objects_;
+
+  // Walk back up: every ancestor's MBR grows by the entry's box (a split
+  // only redistributes what the parent already covers), and a pending
+  // split adds its new sibling, which may overflow this node in turn.
+  for (size_t level = path.size(); level-- > 0;) {
+    const uint32_t idx = path[level];
+    nodes_[idx].mbr.ExpandToInclude(box);
+    if (!split) continue;
+    nodes_[idx].children.push_back(new_child);
+    split = nodes_[idx].children.size() > static_cast<size_t>(fanout_);
+    if (!split) continue;
+    Node sibling;
+    sibling.leaf_children = nodes_[idx].leaf_children;
+    const auto child_box = [&](uint32_t c) -> const geom::Box& {
+      return ChildMbr(sibling, c);
+    };
+    sibling.children = SplitHalf(&nodes_[idx].children, nodes_[idx].mbr, child_box,
+                                 [](uint32_t c) { return c; });
+    sibling.mbr = UnionMbr(sibling.children, child_box);
+    nodes_[idx].mbr = UnionMbr(nodes_[idx].children, child_box);
+    new_child = static_cast<uint32_t>(nodes_.size());
+    nodes_.push_back(std::move(sibling));
+  }
+  if (split) {  // the root split: grow a new root over both halves
+    Node root;
+    root.mbr = nodes_[root_].mbr;
+    root.mbr.ExpandToInclude(nodes_[new_child].mbr);
+    root.children = {root_, new_child};
+    root_ = static_cast<uint32_t>(nodes_.size());
+    nodes_.push_back(std::move(root));
+    ++height_;
+  }
+  return Status::OK();
 }
 
 Status RTree::ReadLeaf(storage::PageId page, std::vector<LeafEntry>* out) const {

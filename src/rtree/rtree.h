@@ -1,9 +1,10 @@
 // Packed R*-tree over uncertain objects ([38] in the paper): leaf pages on
 // simulated disk (4 KB, fanout 100), non-leaf levels in memory — exactly
 // the comparator configuration of the paper's Sec. VI-A. Bulk loading uses
-// Sort-Tile-Recursive packing. Queries: best-first k-NN by dist_min (seed
-// selection), circular range (I-pruning), plus low-level access used by
-// the branch-and-prune PNN baseline (pnn_baseline.h).
+// Sort-Tile-Recursive packing; later inserts grow the tree in place
+// (Guttman ChooseLeaf with halving splits). Queries: best-first k-NN by
+// dist_min (seed selection), circular range (I-pruning), plus low-level
+// access used by the branch-and-prune PNN baseline (pnn_baseline.h).
 #ifndef UVD_RTREE_RTREE_H_
 #define UVD_RTREE_RTREE_H_
 
@@ -65,12 +66,15 @@ struct TraversalScratch {
 
 /// \brief Packed R-tree with disk-resident leaves.
 ///
-/// Thread safety: the tree is immutable after BulkLoad — the const query
-/// paths (KNearestByDistMin, CentersInRange, ReadLeaf) keep no mutable
-/// caches and only touch nodes_/leaf_mbrs_/leaf_pages_, PageManager::Read
-/// (safe for concurrent readers), and atomic Stats tickers. Any number of
-/// threads may query one tree concurrently, provided nobody writes to the
-/// underlying PageManager meanwhile; the build pipeline relies on this.
+/// Thread safety: the const query paths (KNearestByDistMin,
+/// CentersInRange, ReadLeaf) keep no mutable caches and only touch
+/// nodes_/leaf_mbrs_/leaf_pages_, PageManager::Read (safe for concurrent
+/// readers), and atomic Stats tickers. Any number of threads may query one
+/// tree concurrently, provided nobody writes to the underlying PageManager
+/// meanwhile; the build pipeline relies on this. Insert mutates the nodes
+/// and writes leaf pages, so it needs exclusive access: no query and no
+/// other Insert may overlap it (the contract UVDiagram::InsertObject
+/// already has).
 class RTree {
  public:
   /// In-memory non-leaf node. `children` index nodes() when
@@ -88,6 +92,17 @@ class RTree {
                                 storage::PageManager* pm,
                                 const RTreeOptions& options = {},
                                 Stats* stats = nullptr);
+
+  /// Adds one entry in place, Guttman-style. ChooseLeaf descends to the
+  /// child needing the least MBR enlargement, then the least area, then
+  /// the lowest position. A leaf page or node that overflows `fanout`
+  /// splits in half: its entries (children) sorted by MBR center along the
+  /// longer axis of its MBR, ties by id (index). Splits propagate upward
+  /// and a split root grows the tree one level. MBRs stay exact unions of
+  /// their contents. Query answers depend only on the set of entries (see
+  /// KnnHeapItem), so they equal a fresh BulkLoad over the same objects.
+  /// Needs exclusive access (see the class comment).
+  Status Insert(const LeafEntry& entry);
 
   /// The k objects with smallest dist_min(O, q), best-first. Used by seed
   /// selection (paper Sec. IV-B, k = 300). Output order is canonical:
@@ -129,8 +144,14 @@ class RTree {
  private:
   RTree() = default;
 
+  /// Child box: a leaf page MBR or a node MBR, per the parent's kind.
+  const geom::Box& ChildMbr(const Node& parent, uint32_t child) const {
+    return parent.leaf_children ? leaf_mbrs_[child] : nodes_[child].mbr;
+  }
+
   storage::PageManager* pm_ = nullptr;
   Stats* stats_ = nullptr;
+  int fanout_ = 0;
   std::vector<Node> nodes_;
   uint32_t root_ = 0;
   std::vector<storage::PageId> leaf_pages_;

@@ -78,7 +78,9 @@ struct TraversalSessionOptions {
   double pool_margin = 1.0;
 };
 
-/// \brief Reusable k-NN / range traversal state over one immutable RTree.
+/// \brief Reusable k-NN / range traversal state over one RTree, which must
+/// not change (RTree::Insert) while the session lives: its pools cache
+/// entries and frontiers of the tree as it was.
 class TraversalSession {
  public:
   explicit TraversalSession(const RTree& tree,

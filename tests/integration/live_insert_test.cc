@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "common/random.h"
@@ -147,9 +149,9 @@ TEST(LiveInsertTest, ManyInsertsLengthenLeafChains) {
 }
 
 TEST(LiveInsertTest, FileBackedInsertsAddOnlyAFewPages) {
-  // The R-tree that InsertObject rebuilds lives on its own in-RAM page
-  // manager: each insert may append an object record and lengthen a few
-  // leaf chains, but must not bulk-load another R-tree into the file.
+  // The R-tree that InsertObject grows in place lives on its own in-RAM
+  // page manager: each insert may append an object record and lengthen a
+  // few leaf chains, but must not write any R-tree page into the file.
   datagen::DatasetOptions opts;
   opts.count = 2000;
   opts.seed = 29;
@@ -178,6 +180,150 @@ TEST(LiveInsertTest, FileBackedInsertsAddOnlyAFewPages) {
   EXPECT_LE(pages_per_insert, 3.0) << "R-tree leaf pages: " << rtree_pages;
   EXPECT_LT(pages_per_insert, static_cast<double>(rtree_pages));
   ASSERT_TRUE(diagram.CloseStorage().ok());
+  std::remove(path.c_str());
+}
+
+// Every answer both UV-index query paths give at `probes`, flattened so
+// two diagrams compare bitwise with one EXPECT_EQ.
+struct ProbeAnswers {
+  std::vector<std::vector<int>> ids;
+  std::vector<std::vector<int>> pnn_ids;
+  std::vector<std::vector<double>> pnn_probabilities;
+  bool operator==(const ProbeAnswers& o) const {
+    return ids == o.ids && pnn_ids == o.pnn_ids &&
+           pnn_probabilities == o.pnn_probabilities;
+  }
+};
+
+ProbeAnswers AnswersAt(const UVDiagram& diagram, const std::vector<geom::Point>& probes) {
+  ProbeAnswers out;
+  for (const geom::Point& q : probes) {
+    out.ids.push_back(diagram.AnswerObjectIds(q).ValueOrDie());
+    std::vector<int> ids;
+    std::vector<double> probabilities;
+    for (const auto& a : diagram.QueryPnn(q).ValueOrDie()) {
+      ids.push_back(a.id);
+      probabilities.push_back(a.probability);
+    }
+    out.pnn_ids.push_back(std::move(ids));
+    out.pnn_probabilities.push_back(std::move(probabilities));
+  }
+  return out;
+}
+
+TEST(LiveInsertTest, RejectsInvalidObjectsBeforeAnyChange) {
+  datagen::DatasetOptions opts;
+  opts.count = 200;
+  opts.seed = 37;
+  auto diagram =
+      UVDiagram::Build(datagen::GenerateUniform(opts), datagen::DomainFor(opts))
+          .ValueOrDie();
+  const auto probes = datagen::UniformQueryPoints(20, diagram.domain(), 41);
+  const ProbeAnswers before = AnswersAt(diagram, probes);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int id = 200;
+
+  const std::vector<std::pair<std::string, uncertain::UncertainObject>> bad = {
+      {"NaN center",
+       uncertain::UncertainObject::WithGaussianPdf(id, {{nan, 5000}, 20})},
+      {"infinite center",
+       uncertain::UncertainObject::WithGaussianPdf(
+           id, {{5000, std::numeric_limits<double>::infinity()}, 20})},
+      {"negative radius",
+       uncertain::UncertainObject(id, {{5000, 5000}, -3},
+                                  uncertain::RadialHistogramPdf::Gaussian(3))},
+      {"NaN radius",
+       uncertain::UncertainObject(id, {{5000, 5000}, nan},
+                                  uncertain::RadialHistogramPdf::Gaussian(3))},
+      {"pdf mass 0.9",
+       uncertain::UncertainObject(
+           id, {{5000, 5000}, 20},
+           uncertain::RadialHistogramPdf(uncertain::PdfKind::kGaussian, 20,
+                                         {0.5, 0.4}))},
+      {"negative bar",
+       uncertain::UncertainObject(
+           id, {{5000, 5000}, 20},
+           uncertain::RadialHistogramPdf(uncertain::PdfKind::kGaussian, 20,
+                                         {1.5, -0.5}))},
+  };
+  for (const auto& [what, object] : bad) {
+    const Status s = diagram.InsertObject(object);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << what << ": " << s.ToString();
+    EXPECT_EQ(diagram.objects().size(), 200u) << what;
+    EXPECT_EQ(diagram.rtree().num_objects(), 200u) << what;
+  }
+  EXPECT_TRUE(AnswersAt(diagram, probes) == before);
+  // Nothing was consumed: the same id is still the next one.
+  EXPECT_TRUE(diagram
+                  .InsertObject(uncertain::UncertainObject::WithGaussianPdf(
+                      id, {{5000, 5000}, 20}))
+                  .ok());
+}
+
+TEST(LiveInsertTest, InPlaceRtreeMatchesReopenBeforeEveryInsert) {
+  // B checkpoints and reopens before every insert, so each of its inserts
+  // starts from an R-tree bulk-loaded over the whole population (the lazy
+  // first-use load after Open). A grows one tree in place throughout. The
+  // R-tree's shape must not leak into anything the diagram serves.
+  datagen::DatasetOptions opts;
+  opts.count = 1200;
+  opts.seed = 43;
+  const std::vector<datagen::ClusterSpec> clusters = {{{3000, 3000}, 600, 10},
+                                                      {{7000, 6500}, 900, 1}};
+  const auto objects = datagen::GenerateClusters(opts, clusters);
+  const geom::Box domain = datagen::DomainFor(opts);
+  // A small R-tree fanout, so A's inserts split pages and nodes.
+  UVDiagram::Options options;
+  options.rtree.fanout = 6;
+  auto a = UVDiagram::Build(objects, domain, options).ValueOrDie();
+  const size_t rtree_leaves_before = a.rtree().num_leaf_pages();
+  const std::string path = ::testing::TempDir() + "/uvd_live_insert_oracle";
+  std::remove(path.c_str());
+  options.storage_path = path;
+  auto b = std::make_unique<UVDiagram>(
+      UVDiagram::Build(objects, domain, options).ValueOrDie());
+
+  Rng rng(47);
+  constexpr int kInserts = 40;
+  for (int k = 0; k < kInserts; ++k) {
+    const int id = static_cast<int>(a.objects().size());
+    const auto& spec = clusters[k % 4 == 3 ? 1 : 0];
+    const geom::Point center{
+        std::clamp(rng.Gaussian(spec.center.x, spec.sigma), 0.0, 10000.0),
+        std::clamp(rng.Gaussian(spec.center.y, spec.sigma), 0.0, 10000.0)};
+    const auto object = uncertain::UncertainObject::WithGaussianPdf(id, {center, 20});
+    ASSERT_TRUE(a.InsertObject(object).ok());
+    ASSERT_TRUE(b->Checkpoint().ok());
+    b.reset();
+    b = std::make_unique<UVDiagram>(UVDiagram::Open(path, options).ValueOrDie());
+    ASSERT_TRUE(b->InsertObject(object).ok());
+  }
+  ASSERT_EQ(a.rtree().num_objects(), opts.count + kInserts);
+  EXPECT_GT(a.rtree().num_leaf_pages(), rtree_leaves_before);
+
+  // Same leaves, same member ids in the same order: the cr sets agree.
+  for (uint32_t n = 0; n < a.index().nodes().size(); ++n) {
+    if (!a.index().nodes()[n].is_leaf) continue;
+    const geom::Box& region = a.index().nodes()[n].region;
+    const uint32_t bn = b->index().LocateLeaf(region.Center());
+    EXPECT_EQ(b->index().nodes()[bn].region.lo, region.lo);
+    EXPECT_EQ(b->index().nodes()[bn].region.hi, region.hi);
+    EXPECT_EQ(b->index().LeafObjectIds(bn), a.index().LeafObjectIds(n)) << "leaf " << n;
+  }
+
+  auto probes = datagen::UniformQueryPoints(60, domain, 53);
+  for (int k = 0; k < 60; ++k) {  // and where the inserts landed
+    const size_t inserted = opts.count + static_cast<size_t>(k % kInserts);
+    probes.push_back(a.objects()[inserted].center());
+  }
+  EXPECT_TRUE(AnswersAt(a, probes) == AnswersAt(*b, probes));
+  for (const geom::Point& q : probes) {
+    std::vector<int> rt;
+    for (const auto& ans : a.QueryPnnWithRtree(q).ValueOrDie()) rt.push_back(ans.id);
+    std::sort(rt.begin(), rt.end());
+    EXPECT_EQ(rt, BruteAnswers(a.objects(), q));
+  }
+  ASSERT_TRUE(b->CloseStorage().ok());
   std::remove(path.c_str());
 }
 
