@@ -13,13 +13,16 @@
 // --json <path> to persist the sweep with an embedded MetricsRegistry
 // snapshot, and --overhead-check to assert the observability layer costs
 // < 5% throughput (obs fully on vs fully off, answers digest-checked
-// identical) instead of running the sweep.
+// identical) instead of running the sweep. The sweep ends with the answer
+// digest, which must not depend on the UVD_ENABLE_SIMD build option.
 #include <algorithm>
+#include <ctime>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/timer.h"
+#include "geom/batch/kernels.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace_recorder.h"
 #include "query/query_engine.h"
@@ -62,10 +65,12 @@ RunResult RunBatch(const core::UVDiagram& diagram, const query::QueryBatch& batc
 }
 
 /// Observability overhead smoke: the same engine/batch with obs fully off
-/// (metrics + tracing disabled) vs fully on, interleaved min-of-N reps so
-/// thermal/scheduler noise hits both legs alike. Pure CPU (no simulated
-/// I/O — sleeps would mask any overhead). Asserts the on/off ratio stays
-/// under the contract's 5% and that answers are digest-identical.
+/// (metrics + tracing disabled) vs fully on, in interleaved leg pairs so
+/// thermal/scheduler noise hits both legs alike. Each timed leg repeats the
+/// batch until it lasts at least kMinLegSeconds, so a fast batch is not
+/// timed at the scheduler's granularity. Pure CPU (no simulated I/O —
+/// sleeps would mask any overhead). Asserts the on/off ratio stays under
+/// the contract's 5% and that answers are digest-identical.
 int RunOverheadCheck(const core::UVDiagram& diagram, const query::QueryBatch& batch,
                      int threads) {
   storage::PageManager::SetSimulatedReadLatencyUs(0);
@@ -73,41 +78,59 @@ int RunOverheadCheck(const core::UVDiagram& diagram, const query::QueryBatch& ba
   opts.threads = threads;
   query::QueryEngine engine(diagram, opts);
 
+  // Legs are timed in process CPU time: the work is the same on a busy
+  // machine, but time spent preempted by other processes is not counted.
+  const auto cpu_seconds = [] {
+    timespec ts;
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+  };
+  int batches_per_leg = 1;
   const auto time_batch = [&] {
-    Timer timer;
-    const auto results = engine.ExecuteBatch(batch);
-    const double seconds = timer.ElapsedSeconds();
+    const double start = cpu_seconds();
+    std::vector<query::QueryResult> results;
+    for (int b = 0; b < batches_per_leg; ++b) results = engine.ExecuteBatch(batch);
+    const double seconds = cpu_seconds() - start;
     return std::make_pair(seconds, query::DigestPointAnswers(results));
   };
 
   // Warm-up: populate the leaf cache and fault in every page so both legs
-  // measure steady-state serving.
+  // measure steady-state serving. Then size the legs on warm batches.
+  constexpr double kMinLegSeconds = 0.02;
   (void)time_batch();
+  while (batches_per_leg < 1024 && time_batch().first < kMinLegSeconds) {
+    batches_per_leg *= 2;
+  }
 
-  constexpr int kReps = 7;
-  double off_min = 1e300, on_min = 1e300;
+  // Each rep times an obs-off and an obs-on leg back to back, in
+  // alternating order, and the check takes the median of the reps' on/off
+  // ratios: neighbouring legs see the same machine load, so load that
+  // comes or goes during the check moves both sides of a ratio alike.
+  constexpr int kReps = 61;
   uint64_t off_hash = 0, on_hash = 0;
+  const auto leg = [&](bool obs_on) {
+    obs::SetMetricsEnabled(obs_on);
+    obs::TraceRecorder::SetEnabled(obs_on);
+    const auto timed = time_batch();
+    (obs_on ? on_hash : off_hash) = timed.second;
+    return timed.first;
+  };
+  std::vector<double> ratios;
   for (int rep = 0; rep < kReps; ++rep) {
-    obs::SetMetricsEnabled(false);
-    obs::TraceRecorder::SetEnabled(false);
-    const auto off = time_batch();
-    off_min = std::min(off_min, off.first);
-    off_hash = off.second;
-
-    obs::SetMetricsEnabled(true);
-    obs::TraceRecorder::SetEnabled(true);
-    const auto on = time_batch();
-    on_min = std::min(on_min, on.first);
-    on_hash = on.second;
+    const bool off_first = rep % 2 == 0;
+    const double first = leg(!off_first);
+    const double second = leg(off_first);
+    ratios.push_back(off_first ? second / first : first / second);
   }
   obs::SetMetricsEnabled(true);
   obs::TraceRecorder::SetEnabled(false);
   obs::TraceRecorder::Global().Clear();
 
-  const double ratio = off_min > 0 ? on_min / off_min : 1.0;
-  std::printf("overhead check: obs-off min %.3f ms, obs-on min %.3f ms, "
-              "ratio %.4f (budget 1.05)\n",
-              off_min * 1e3, on_min * 1e3, ratio);
+  std::sort(ratios.begin(), ratios.end());
+  const double ratio = ratios[ratios.size() / 2];
+  std::printf("overhead check: %d batches per leg, on/off ratio over %d leg pairs: "
+              "min %.4f, median %.4f, max %.4f (budget 1.05 on the median)\n",
+              batches_per_leg, kReps, ratios.front(), ratio, ratios.back());
   std::printf("answers identical with obs on/off: %s\n",
               off_hash == on_hash ? "yes" : "NO — DETERMINISM VIOLATION");
   UVD_CHECK(off_hash == on_hash) << "obs toggling changed answers";
@@ -233,6 +256,9 @@ int main(int argc, char** argv) {
               thread_sweep.back(), qps_1t > 0 ? qps_max_t / qps_1t : 0.0);
   std::printf("answers bitwise-identical across configs: %s\n",
               all_identical ? "yes" : "NO — DETERMINISM VIOLATION");
+  // Compared across UVD_ENABLE_SIMD=ON and OFF builds by CI.
+  std::printf("kernel isa: %s\n", geom::batch::SimdIsa());
+  std::printf("answer digest: %016llx\n", static_cast<unsigned long long>(reference_hash));
   UVD_CHECK(all_identical) << "batch answers differ across thread/cache configs";
   return 0;
 }

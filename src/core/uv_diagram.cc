@@ -18,12 +18,12 @@ constexpr uint32_t kDiagramBootstrapVersion = 1;
 constexpr uint32_t kDiagramManifestMagic = 0x5556444D;  // "UVDM"
 constexpr uint32_t kDiagramManifestVersion = 1;
 
-// Everything InsertObject requires of a new object, checked before any
-// state changes.
-Status ValidateNewObject(const uncertain::UncertainObject& object, int expected_id,
-                         const geom::Box& domain) {
+}  // namespace
+
+Status ValidateObject(const uncertain::UncertainObject& object, int expected_id,
+                      const geom::Box& domain) {
   if (object.id() != expected_id) {
-    return Status::InvalidArgument("new object id must equal objects().size()");
+    return Status::InvalidArgument("object ids must be 0..n-1 in order");
   }
   if (!std::isfinite(object.center().x) || !std::isfinite(object.center().y)) {
     return Status::InvalidArgument("object center is not finite");
@@ -47,22 +47,21 @@ Status ValidateNewObject(const uncertain::UncertainObject& object, int expected_
   return Status::OK();
 }
 
-}  // namespace
-
-Result<UVDiagram> UVDiagram::Build(std::vector<uncertain::UncertainObject> objects,
-                                   const geom::Box& domain, const Options& options,
-                                   Stats* stats) {
+Status ValidateBuildInput(const std::vector<uncertain::UncertainObject>& objects,
+                          const geom::Box& domain) {
   if (objects.empty()) {
     return Status::InvalidArgument("cannot build a UV-diagram over zero objects");
   }
   for (size_t i = 0; i < objects.size(); ++i) {
-    if (objects[i].id() != static_cast<int>(i)) {
-      return Status::InvalidArgument("objects must have ids 0..n-1 in order");
-    }
-    if (!domain.Contains(objects[i].center())) {
-      return Status::InvalidArgument("object center outside the domain");
-    }
+    UVD_RETURN_NOT_OK(ValidateObject(objects[i], static_cast<int>(i), domain));
   }
+  return Status::OK();
+}
+
+Result<UVDiagram> UVDiagram::Build(std::vector<uncertain::UncertainObject> objects,
+                                   const geom::Box& domain, const Options& options,
+                                   Stats* stats) {
+  UVD_RETURN_NOT_OK(ValidateBuildInput(objects, domain));
 
   UVDiagram d;
   d.objects_ = std::move(objects);
@@ -213,15 +212,27 @@ Result<UVDiagram> UVDiagram::Open(const std::string& path, const Options& option
   if (dec.GetU32() > kDiagramManifestVersion) {
     return Status::NotImplemented("diagram manifest from a future version");
   }
+  if (dec.remaining() < 4 * sizeof(double)) {
+    return Status::Corruption("diagram manifest truncated before the domain");
+  }
   d.domain_.lo.x = dec.GetDouble();
   d.domain_.lo.y = dec.GetDouble();
   d.domain_.hi.x = dec.GetDouble();
   d.domain_.hi.y = dec.GetDouble();
+  const geom::Box& domain = d.domain_;
+  if (!std::isfinite(domain.lo.x) || !std::isfinite(domain.lo.y) ||
+      !std::isfinite(domain.hi.x) || !std::isfinite(domain.hi.y) ||
+      domain.lo.x > domain.hi.x || domain.lo.y > domain.hi.y) {
+    return Status::Corruption("diagram manifest domain is not a finite box");
+  }
 
   d.store_ = std::make_unique<uncertain::ObjectStore>(d.pm_.get());
   UVD_RETURN_NOT_OK(d.store_->RestoreState(&dec));
   UVD_RETURN_NOT_OK(d.store_->LoadAll(&d.objects_, &d.ptrs_));
 
+  if (dec.remaining() < 2 * sizeof(uint32_t)) {
+    return Status::Corruption("diagram manifest truncated before the index handle");
+  }
   SavedIndexHandle index_handle;
   index_handle.first_page = dec.GetU32();
   index_handle.page_count = dec.GetU32();
@@ -254,8 +265,7 @@ void UVDiagram::RefreshRtreeIfStale() const {
 }
 
 Status UVDiagram::InsertObject(uncertain::UncertainObject object) {
-  UVD_RETURN_NOT_OK(ValidateNewObject(object, static_cast<int>(objects_.size()),
-                                      domain_));
+  UVD_RETURN_NOT_OK(ValidateObject(object, static_cast<int>(objects_.size()), domain_));
   // A reopened diagram bulk-loads its R-tree over the current population
   // here, once; every later insert grows it in place.
   RefreshRtreeIfStale();

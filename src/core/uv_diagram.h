@@ -73,13 +73,27 @@ struct UVDiagramOptions {
   double buffer_pool_protected_fraction = 0.8;
 };
 
+/// Checks one input object of Build or InsertObject: id == expected_id, a
+/// finite center inside `domain`, a finite radius >= 0, and pdf bar masses
+/// >= 0 summing to 1 within 1e-9. InvalidArgument names the first
+/// violated rule.
+Status ValidateObject(const uncertain::UncertainObject& object, int expected_id,
+                      const geom::Box& domain);
+
+/// Checks a whole Build input: non-empty, and ValidateObject(objects[i], i)
+/// for every i.
+Status ValidateBuildInput(const std::vector<uncertain::UncertainObject>& objects,
+                          const geom::Box& domain);
+
 /// \brief An indexed UV-diagram over a set of uncertain objects.
 class UVDiagram {
  public:
   using Options = UVDiagramOptions;
 
-  /// Builds everything: object store, R-tree, UV-index. Objects must have
-  /// ids 0..n-1 in order and centers inside `domain`. If `stats` is null an
+  /// Builds everything: object store, R-tree, UV-index. Every object must
+  /// pass ValidateObject with id = its position (ids 0..n-1 in order,
+  /// finite centers inside `domain`, finite radii >= 0, pdf masses >= 0
+  /// summing to 1); otherwise InvalidArgument. If `stats` is null an
   /// internal Stats is used.
   static Result<UVDiagram> Build(std::vector<uncertain::UncertainObject> objects,
                                  const geom::Box& domain, const Options& options = {},

@@ -206,7 +206,7 @@ namespace {
 
 // fdlibm's (e_asin.c) rational approximation asin(t) = t + t * P(z) / Q(z),
 // z = t^2, for t in [0, 1/2]; max error 1 ulp over [-1, 1] once combined
-// with the reductions in AcosApprox.
+// with the reductions in AcosOfHalfGaps.
 constexpr double kAsinP0 = 1.66666666666666657415e-01;
 constexpr double kAsinP1 = -3.25565818622400915405e-01;
 constexpr double kAsinP2 = 2.01212532134862925881e-01;
@@ -233,15 +233,19 @@ inline double AsinKernel(double t) {
   return t + t * (p / q);
 }
 
-// acos(x) for x in [-1, 1]: pi/2 - asin(x) for |x| <= 1/2, else the
-// half-angle form 2 * asin(sqrt((1 - |x|) / 2)), reflected for x < 0.
-inline double AcosApprox(double x) {
+// acos(x) for x = hp - hm, given the half-gaps hm = (1 - x) / 2 and
+// hp = (1 + x) / 2 (both >= 0, computed by the caller without
+// cancellation): pi/2 - asin(x) for |x| <= 1/2, else the half-angle form
+// 2 * asin(sqrt(hm)), reflected as pi - 2 * asin(sqrt(hp)) for x < 0.
+// Near x = +-1 the half-gap keeps the digits that 1 - |x| would cancel.
+inline double AcosOfHalfGaps(double hp, double hm) {
+  const double x = hp - hm;
   const double a = std::fabs(x);
   if (a <= 0.5) {
     const double s = AsinKernel(a);
     return kHalfPi - (x < 0.0 ? -s : s);
   }
-  const double y = 2.0 * AsinKernel(std::sqrt(0.5 - 0.5 * a));
+  const double y = 2.0 * AsinKernel(std::sqrt(x > 0.0 ? hm : hp));
   return x > 0.0 ? y : M_PI - y;
 }
 
@@ -263,94 +267,123 @@ inline __m256d AsinKernel4(__m256d t) {
   return _mm256_add_pd(t, _mm256_mul_pd(t, _mm256_div_pd(p, q)));
 }
 
-// AcosApprox on four lanes: both reductions are evaluated and blended, so
-// each lane performs exactly the scalar branch it selects.
-inline __m256d AcosApprox4(__m256d x) {
+// AcosOfHalfGaps on four lanes: both reductions are evaluated and
+// blended, so each lane performs exactly the scalar branch it selects.
+inline __m256d AcosOfHalfGaps4(__m256d hp, __m256d hm) {
   const __m256d sign = _mm256_set1_pd(-0.0);
   const __m256d half = _mm256_set1_pd(0.5);
+  const __m256d x = _mm256_sub_pd(hp, hm);
   const __m256d a = _mm256_andnot_pd(sign, x);
   const __m256d small = _mm256_cmp_pd(a, half, _CMP_LE_OQ);
-  const __m256d t = _mm256_blendv_pd(
-      _mm256_sqrt_pd(_mm256_sub_pd(half, _mm256_mul_pd(half, a))), a, small);
+  const __m256d positive = _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_GT_OQ);
+  const __m256d t =
+      _mm256_blendv_pd(_mm256_sqrt_pd(_mm256_blendv_pd(hp, hm, positive)), a, small);
   const __m256d s = AsinKernel4(t);
   // x < 0 ? -s : s, as a sign transfer (x = -0 gives -0, which pi/2 - s
   // maps to the same pi/2 as the scalar +0).
   const __m256d small_r =
       _mm256_sub_pd(_mm256_set1_pd(kHalfPi), _mm256_xor_pd(s, _mm256_and_pd(x, sign)));
   const __m256d y = _mm256_mul_pd(_mm256_set1_pd(2.0), s);
-  const __m256d large_r =
-      _mm256_blendv_pd(_mm256_sub_pd(_mm256_set1_pd(M_PI), y), y,
-                       _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_GT_OQ));
+  const __m256d large_r = _mm256_blendv_pd(_mm256_sub_pd(_mm256_set1_pd(M_PI), y), y, positive);
   return _mm256_blendv_pd(large_r, small_r, small);
 }
 #endif
 
-}  // namespace
+// The per-call constants of LensAreas, shared by the intrinsics path and
+// the scalar lanes so both round them identically.
+struct LensConstants {
+  double dist, r, rs, quarter_inv_dist, inv_r;
 
-double LensAreaLane(double dist, double r1, double r2) {
-  if (r1 == 0.0 || r2 == 0.0 || dist >= r1 + r2) return 0.0;
-  const double rmin = LaneMin(r1, r2);
-  if (dist <= std::fabs(r1 - r2)) return M_PI * rmin * rmin;
-  const double d2 = dist * dist;
-  const double r1s = r1 * r1;
-  const double r2s = r2 * r2;
-  const double c1 = LaneMax(LaneMin((d2 + r1s - r2s) / (2.0 * dist * r1), 1.0), -1.0);
-  const double c2 = LaneMax(LaneMin((d2 + r2s - r1s) / (2.0 * dist * r2), 1.0), -1.0);
-  const double tri =
-      0.5 * std::sqrt(LaneMax((-dist + r1 + r2) * (dist + r1 - r2) *
-                                  (dist - r1 + r2) * (dist + r1 + r2),
-                              0.0));
+  LensConstants(double dist_in, double r_in)
+      : dist(dist_in),
+        r(r_in),
+        rs(r_in * r_in),
+        quarter_inv_dist(0.25 / dist_in),
+        inv_r(1.0 / r_in) {}
+};
+
+// Lens of Cir(q, d) and Cir(c, r), |q - c| = dist, from the factors
+//   f1 = d + r - dist, f2 = dist + d - r, f3 = dist - d + r, f4 = dist + d + r,
+// which are positive on the lens branch. The half-gaps of the cosines of
+// the segment half-angles at q (a1) and at c (a2) are products of them:
+//   (1 - cos a1) / 2 = f1 f3 / (4 dist d),  (1 + cos a1) / 2 = f2 f4 / (4 dist d),
+//   (1 - cos a2) / 2 = f1 f2 / (4 dist r),  (1 + cos a2) / 2 = f3 f4 / (4 dist r),
+// and the kite area is sqrt(f1 f2 f3 f4) / 2.
+inline double LensLane(const LensConstants& k, double d, double inv_d) {
+  const double dist = k.dist;
+  const double r = k.r;
+  if (d == 0.0 || dist >= d + r) return 0.0;
+  const double rmin = LaneMin(d, r);
+  if (dist <= std::fabs(d - r)) return M_PI * rmin * rmin;
+  const double f1 = -dist + d + r;
+  const double f2 = dist + d - r;
+  const double f3 = dist - d + r;
+  const double f4 = dist + d + r;
+  const double p13 = f1 * f3;
+  const double p24 = f2 * f4;
+  const double hm1 = LaneMax(p13 * k.quarter_inv_dist * inv_d, 0.0);
+  const double hp1 = LaneMax(p24 * k.quarter_inv_dist * inv_d, 0.0);
+  const double hm2 = LaneMax(f1 * f2 * k.quarter_inv_dist * k.inv_r, 0.0);
+  const double hp2 = LaneMax(f3 * f4 * k.quarter_inv_dist * k.inv_r, 0.0);
+  const double tri = 0.5 * std::sqrt(LaneMax(p13 * p24, 0.0));
   // Near tangency the terms cancel and roundoff can go fractionally negative.
-  return LaneMax(r1s * AcosApprox(c1) + r2s * AcosApprox(c2) - tri, 0.0);
+  return LaneMax(d * d * AcosOfHalfGaps(hp1, hm1) + k.rs * AcosOfHalfGaps(hp2, hm2) - tri,
+                 0.0);
 }
 
-void LensAreas(double dist, const double* r1, const double* r2, size_t n,
+}  // namespace
+
+double LensAreaLane(double dist, double r, double d, double inv_d) {
+  if (r == 0.0) return 0.0;
+  return LensLane(LensConstants(dist, r), d, inv_d);
+}
+
+void LensAreas(double dist, double r, const double* d, const double* inv_d, size_t n,
                double* out) {
+  if (r == 0.0) {
+    std::fill(out, out + n, 0.0);
+    return;
+  }
+  const LensConstants k(dist, r);
   size_t i = 0;
 #if defined(UVD_SIMD_AVX2)
-  // Every lane evaluates all three cases of LensAreaLane and blends, with
-  // the scalar precedence: zero radius / disjoint, then containment.
+  // Every lane evaluates all three cases of LensLane and blends, with the
+  // scalar precedence: zero radius / disjoint, then containment.
   const __m256d vd = _mm256_set1_pd(dist);
   const __m256d neg_d = _mm256_xor_pd(vd, _mm256_set1_pd(-0.0));
+  const __m256d vr = _mm256_set1_pd(r);
   const __m256d zero = _mm256_setzero_pd();
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d neg_one = _mm256_set1_pd(-1.0);
-  const __m256d d2 = _mm256_mul_pd(vd, vd);
-  const __m256d two_d = _mm256_mul_pd(_mm256_set1_pd(2.0), vd);
+  const __m256d rs = _mm256_set1_pd(k.rs);
+  const __m256d quarter_inv_dist = _mm256_set1_pd(k.quarter_inv_dist);
+  const __m256d inv_r = _mm256_set1_pd(k.inv_r);
   for (; i + 4 <= n; i += 4) {
-    const __m256d a = _mm256_loadu_pd(r1 + i);
-    const __m256d b = _mm256_loadu_pd(r2 + i);
-    const __m256d none = _mm256_or_pd(
-        _mm256_or_pd(_mm256_cmp_pd(a, zero, _CMP_EQ_OQ), _mm256_cmp_pd(b, zero, _CMP_EQ_OQ)),
-        _mm256_cmp_pd(vd, _mm256_add_pd(a, b), _CMP_GE_OQ));
-    const __m256d rmin = _mm256_min_pd(a, b);
+    const __m256d a = _mm256_loadu_pd(d + i);
+    const __m256d inv_a = _mm256_loadu_pd(inv_d + i);
+    const __m256d none = _mm256_or_pd(_mm256_cmp_pd(a, zero, _CMP_EQ_OQ),
+                                      _mm256_cmp_pd(vd, _mm256_add_pd(a, vr), _CMP_GE_OQ));
+    const __m256d rmin = _mm256_min_pd(a, vr);
     const __m256d contained = _mm256_cmp_pd(
-        vd, _mm256_andnot_pd(_mm256_set1_pd(-0.0), _mm256_sub_pd(a, b)), _CMP_LE_OQ);
+        vd, _mm256_andnot_pd(_mm256_set1_pd(-0.0), _mm256_sub_pd(a, vr)), _CMP_LE_OQ);
     const __m256d disk = _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(M_PI), rmin), rmin);
 
-    const __m256d as = _mm256_mul_pd(a, a);
-    const __m256d bs = _mm256_mul_pd(b, b);
-    const __m256d c1 = _mm256_max_pd(
-        _mm256_min_pd(_mm256_div_pd(_mm256_sub_pd(_mm256_add_pd(d2, as), bs),
-                                    _mm256_mul_pd(two_d, a)),
-                      one),
-        neg_one);
-    const __m256d c2 = _mm256_max_pd(
-        _mm256_min_pd(_mm256_div_pd(_mm256_sub_pd(_mm256_add_pd(d2, bs), as),
-                                    _mm256_mul_pd(two_d, b)),
-                      one),
-        neg_one);
-    const __m256d f1 = _mm256_add_pd(_mm256_add_pd(neg_d, a), b);
-    const __m256d f2 = _mm256_sub_pd(_mm256_add_pd(vd, a), b);
-    const __m256d f3 = _mm256_add_pd(_mm256_sub_pd(vd, a), b);
-    const __m256d f4 = _mm256_add_pd(_mm256_add_pd(vd, a), b);
-    const __m256d prod =
-        _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(f1, f2), f3), f4);
-    const __m256d tri =
-        _mm256_mul_pd(_mm256_set1_pd(0.5), _mm256_sqrt_pd(_mm256_max_pd(prod, zero)));
+    const __m256d f1 = _mm256_add_pd(_mm256_add_pd(neg_d, a), vr);
+    const __m256d f2 = _mm256_sub_pd(_mm256_add_pd(vd, a), vr);
+    const __m256d f3 = _mm256_add_pd(_mm256_sub_pd(vd, a), vr);
+    const __m256d f4 = _mm256_add_pd(_mm256_add_pd(vd, a), vr);
+    const __m256d p13 = _mm256_mul_pd(f1, f3);
+    const __m256d p24 = _mm256_mul_pd(f2, f4);
+    auto half_gap = [&](__m256d p, __m256d inv) {
+      return _mm256_max_pd(_mm256_mul_pd(_mm256_mul_pd(p, quarter_inv_dist), inv), zero);
+    };
+    const __m256d hm1 = half_gap(p13, inv_a);
+    const __m256d hp1 = half_gap(p24, inv_a);
+    const __m256d hm2 = half_gap(_mm256_mul_pd(f1, f2), inv_r);
+    const __m256d hp2 = half_gap(_mm256_mul_pd(f3, f4), inv_r);
+    const __m256d tri = _mm256_mul_pd(
+        _mm256_set1_pd(0.5), _mm256_sqrt_pd(_mm256_max_pd(_mm256_mul_pd(p13, p24), zero)));
     const __m256d lens = _mm256_max_pd(
-        _mm256_sub_pd(_mm256_add_pd(_mm256_mul_pd(as, AcosApprox4(c1)),
-                                    _mm256_mul_pd(bs, AcosApprox4(c2))),
+        _mm256_sub_pd(_mm256_add_pd(_mm256_mul_pd(_mm256_mul_pd(a, a), AcosOfHalfGaps4(hp1, hm1)),
+                                    _mm256_mul_pd(rs, AcosOfHalfGaps4(hp2, hm2))),
                       tri),
         zero);
     const __m256d area =
@@ -358,7 +391,7 @@ void LensAreas(double dist, const double* r1, const double* r2, size_t n,
     _mm256_storeu_pd(out + i, area);
   }
 #endif
-  for (; i < n; ++i) out[i] = LensAreaLane(dist, r1[i], r2[i]);
+  for (; i < n; ++i) out[i] = LensLane(k, d[i], inv_d[i]);
 }
 
 void BuildConstraintPrefilter(const Circle& anchor, const Circle* others,

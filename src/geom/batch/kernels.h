@@ -1,6 +1,7 @@
 // SIMD batch kernels for the stage-1 hot path (ROADMAP "Raw-speed hot
 // path") and for the lens areas of the PNN qualification integral
-// (LensAreas below). Stage-1 cost concentrates in three per-candidate
+// (LensAreas below: one ring boundary against a run of query radii, the
+// column-major unit of DistanceDistribution::CdfRow). Stage-1 cost concentrates in three per-candidate
 // scalar tests — the C-pruning distance bound (Lemma 3), the 4-point
 // corner test against outside regions (Algorithm 5), and the envelope
 // insertions of Algorithm 1 — all embarrassingly lane-parallel across
@@ -126,21 +127,27 @@ inline bool PrefilterSkips(double min_rho, double max_vertex_distance) {
 }
 
 /// Batched lens areas for the distance CDFs of the PNN qualification
-/// integral: out[i] = area of the intersection of two disks with radii
-/// r1[i] and r2[i] whose centers are `dist` apart — geom::LensArea, case
-/// for case (zero radius and disjoint: 0; containment: pi * min(r)^2).
-/// acos is a fixed rational approximation (fdlibm's asin kernel on
-/// [0, 1/2] plus the half-angle reduction; at most 1 ulp from std::acos),
-/// so each area is within ~1e-15 * pi * max(r)^2 of geom::LensArea.
-/// The intrinsics path and the scalar fallback perform the same per-lane
-/// operations, so the output is bitwise identical with UVD_ENABLE_SIMD on
-/// or off. out must not alias r1 or r2.
-void LensAreas(double dist, const double* r1, const double* r2, size_t n,
+/// integral, one ring boundary against a run of query radii: out[i] = area
+/// of the intersection of the disks Cir(q, d[i]) and Cir(c, r) whose
+/// centers are `dist` apart — geom::LensArea(dist, d[i], r), case for case
+/// (zero radius and disjoint: 0; containment: pi * min(d[i], r)^2).
+/// inv_d[i] must be 1 / d[i], precomputed once per grid of radii. The
+/// segment angles come from the half-gaps (1 -+ cos a) / 2, which are
+/// products of the lens factors d + r - dist, dist + d - r, dist - d + r,
+/// dist + d + r times 0.25 / dist (per call) and 1 / d or 1 / r: no
+/// per-lane division, and no cancellation near tangency. dist must be 0
+/// or a normal double. acos is a fixed rational approximation (fdlibm's
+/// asin kernel on [0, 1/2] plus the half-angle reduction; at most 1 ulp
+/// from std::acos), so each area is within ~1e-15 * pi * max(d, r)^2 of
+/// the exact one. The intrinsics path and the scalar fallback perform the
+/// same per-lane operations, so the output is bitwise identical with
+/// UVD_ENABLE_SIMD on or off. out must not alias d or inv_d.
+void LensAreas(double dist, double r, const double* d, const double* inv_d, size_t n,
                double* out);
 
 /// One lane of LensAreas (the scalar fallback), exposed so tests can pin
 /// the intrinsics path against it bit for bit.
-double LensAreaLane(double dist, double r1, double r2);
+double LensAreaLane(double dist, double r, double d, double inv_d);
 
 }  // namespace batch
 }  // namespace geom

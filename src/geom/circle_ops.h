@@ -11,7 +11,10 @@ namespace uvd {
 namespace geom {
 
 /// Area of the intersection (lens) of two disks with radii r1, r2 whose
-/// centers are d apart. Handles containment and disjoint cases exactly.
+/// centers are d apart. Handles containment and disjoint cases exactly;
+/// the segment angles come from factored half-gaps (1 -+ cos a) / 2, so
+/// the area keeps its digits near tangency. The test oracle of
+/// geom::batch::LensAreas.
 double LensArea(double d, double r1, double r2);
 
 /// Area of the intersection of two disks.

@@ -29,6 +29,43 @@ TraceRecorder& TraceRecorder::Global() {
 
 uint64_t TraceSpan::NowMicrosForTrace() { return NowMicros(); }
 
+PhaseClock::PhaseClock(const char* category, bool timed) {
+#if defined(UVD_DISABLE_TRACING)
+  category_ = nullptr;
+#else
+  category_ = TraceRecorder::Enabled() ? category : nullptr;
+#endif
+  clocked_ = timed || category_ != nullptr;
+  if (clocked_) start_us_ = open_start_us_ = NowMicros();
+}
+
+void PhaseClock::Close(uint64_t now_us) {
+  if (open_ == nullptr) return;
+  if (num_closed_ == kMaxPhases) {
+    TraceRecorder::Global().Record(closed_.data(), num_closed_);
+    num_closed_ = 0;
+  }
+  closed_[num_closed_++] = TraceEvent{category_, open_, open_start_us_,
+                                      now_us - open_start_us_};
+  open_ = nullptr;
+  open_start_us_ = now_us;
+}
+
+void PhaseClock::Phase(const char* name) {
+  if (category_ == nullptr) return;
+  if (open_ != nullptr) Close(NowMicros());
+  open_ = name;
+}
+
+uint64_t PhaseClock::Finish() {
+  if (!clocked_) return 0;
+  const uint64_t now = NowMicros();
+  Close(now);
+  if (num_closed_ > 0) TraceRecorder::Global().Record(closed_.data(), num_closed_);
+  num_closed_ = 0;
+  return now - start_us_;
+}
+
 TraceRecorder::Ring* TraceRecorder::RingForThisThread() {
   const bool is_global = this == &Global();
   if (is_global && tls_global_ring != nullptr) {
@@ -59,14 +96,21 @@ TraceRecorder::Ring* TraceRecorder::RingForThisThread() {
 
 void TraceRecorder::Record(const char* category, const char* name,
                            uint64_t start_us, uint64_t duration_us) {
+  const TraceEvent event{category, name, start_us, duration_us};
+  Record(&event, 1);
+}
+
+void TraceRecorder::Record(const TraceEvent* events, size_t n) {
   Ring* ring = RingForThisThread();
   MutexLock lock(ring->mu);
-  ring->events[ring->next] = TraceEvent{category, name, start_us, duration_us};
-  ring->next = (ring->next + 1) % ring->events.size();
-  if (ring->size < ring->events.size()) {
-    ++ring->size;
-  } else {
-    ++ring->dropped;
+  for (size_t i = 0; i < n; ++i) {
+    ring->events[ring->next] = events[i];
+    ring->next = (ring->next + 1) % ring->events.size();
+    if (ring->size < ring->events.size()) {
+      ++ring->size;
+    } else {
+      ++ring->dropped;
+    }
   }
 }
 

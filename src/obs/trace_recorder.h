@@ -8,7 +8,8 @@
 //   * Tracing is DISABLED by default. The macro's fast path is one relaxed
 //     atomic load and a branch; no clock is read and nothing is written.
 //   * Enabled, a span is two steady_clock reads plus one ring-buffer push
-//     under the calling thread's own (uncontended) ring mutex.
+//     under the calling thread's own (uncontended) ring mutex. PhaseClock
+//     traces consecutive phases with one read per boundary.
 //   * Defining UVD_DISABLE_TRACING at compile time removes the spans from
 //     the binary entirely — the hot path is untouched by construction.
 //
@@ -21,6 +22,7 @@
 #ifndef UVD_OBS_TRACE_RECORDER_H_
 #define UVD_OBS_TRACE_RECORDER_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -71,6 +73,8 @@ class TraceRecorder {
   /// full the oldest event is overwritten and `dropped()` grows.
   void Record(const char* category, const char* name, uint64_t start_us,
               uint64_t duration_us);
+  /// Appends `n` completed spans in order, under one lock.
+  void Record(const TraceEvent* events, size_t n);
 
   /// Drops every recorded event (rings stay registered and keep their
   /// thread ids; the drop counter resets).
@@ -143,6 +147,38 @@ class TraceSpan {
   const char* category_ = nullptr;  // null: span inactive (tracing was off)
   const char* name_ = nullptr;
   uint64_t start_us_ = 0;
+};
+
+/// One operation's clock, shared by its latency measurement (`timed`) and
+/// its trace phases (when tracing is enabled): the clock is read once at
+/// the start, once per phase boundary and once at the end, so an operation
+/// timed and traced through n consecutive phases costs n + 1 clock reads
+/// instead of 2 + 2n. The phases become adjacent spans, recorded into the
+/// calling thread's ring together at Finish; the first one opens at the
+/// start. With neither switch on nothing reads the clock.
+class PhaseClock {
+ public:
+  PhaseClock(const char* category, bool timed);
+
+  /// Ends the open phase (if any) and opens `name` (a string literal).
+  void Phase(const char* name);
+
+  /// Ends the open phase and records the phases; returns the microseconds
+  /// since the start (0 when neither timed nor traced).
+  uint64_t Finish();
+
+ private:
+  // Ends the open phase at `now_us`.
+  void Close(uint64_t now_us);
+
+  const char* category_;  // null: phases are not traced
+  bool clocked_;
+  uint64_t start_us_ = 0;
+  const char* open_ = nullptr;  // the open phase's name
+  uint64_t open_start_us_ = 0;
+  static constexpr size_t kMaxPhases = 4;  // closed phases buffered
+  std::array<TraceEvent, kMaxPhases> closed_{};
+  size_t num_closed_ = 0;
 };
 
 }  // namespace obs

@@ -51,15 +51,12 @@ std::vector<Stats> QueryEngine::worker_stats() const {
 }
 
 Result<std::vector<rtree::LeafEntry>> QueryEngine::CandidatesFor(
-    const geom::Point& p, Stats* shard) const {
+    const geom::Point& p, Stats* shard, obs::PhaseClock* clock) const {
   const core::UVIndex& index = *view_.index;
-  uint32_t leaf = 0;
-  {
-    UVD_TRACE_SPAN("query", "locate_leaf");
-    UVD_ASSIGN_OR_RETURN(leaf, index.LocateLeafChecked(p));
-  }
+  clock->Phase("locate_leaf");
+  UVD_ASSIGN_OR_RETURN(const uint32_t leaf, index.LocateLeafChecked(p));
   if (cache_ != nullptr) {
-    UVD_TRACE_SPAN("query", "cache_lookup");
+    clock->Phase("cache_lookup");
     return cache_->GetOrLoad(
         leaf,
         [&index, leaf] {
@@ -68,25 +65,24 @@ Result<std::vector<rtree::LeafEntry>> QueryEngine::CandidatesFor(
         },
         shard);
   }
-  UVD_TRACE_SPAN("query", "read_leaf");
+  clock->Phase("read_leaf");
   return index.ReadLeafEntries(leaf);
 }
 
-QueryResult QueryEngine::ExecuteOne(const Query& q, Stats* shard) const {
+QueryResult QueryEngine::ExecuteOne(const Query& q, Stats* shard,
+                                    obs::PhaseClock* clock) const {
   QueryResult result;
   switch (q.kind) {
     case QueryKind::kPnn: {
-      auto candidates = CandidatesFor(q.point, shard);
+      auto candidates = CandidatesFor(q.point, shard, clock);
       if (!candidates.ok()) {
         result.status = candidates.status();
         break;
       }
-      auto answers = [&] {
-        UVD_TRACE_SPAN("query", "qualification");
-        return core::EvaluatePnnFromCandidates(std::move(candidates).value(),
-                                               *view_.store, q.point,
-                                               view_.qualification, shard);
-      }();
+      clock->Phase("qualification");
+      auto answers = core::EvaluatePnnFromCandidates(std::move(candidates).value(),
+                                                     *view_.store, q.point,
+                                                     view_.qualification, shard);
       if (!answers.ok()) {
         result.status = answers.status();
         break;
@@ -95,11 +91,12 @@ QueryResult QueryEngine::ExecuteOne(const Query& q, Stats* shard) const {
       break;
     }
     case QueryKind::kAnswerIds: {
-      auto candidates = CandidatesFor(q.point, shard);
+      auto candidates = CandidatesFor(q.point, shard, clock);
       if (!candidates.ok()) {
         result.status = candidates.status();
         break;
       }
+      clock->Phase("answer_ids");
       result.answer_ids =
           core::AnswerIdsFromCandidates(std::move(candidates).value(), q.point);
       break;
@@ -147,27 +144,24 @@ std::vector<QueryResult> QueryEngine::ExecuteBatch(const QueryBatch& batch) {
   // counters. The member copy below exists only for worker_stats()
   // observability and is the one cross-call write, hence the mutex.
   std::vector<Stats> shards;
-  // Latency shards follow the same call-local story; merged into
-  // kind_latency_ at the end (MergeFrom is atomic-safe for concurrent
-  // callers). `timed` is sampled once so a mid-batch toggle cannot split
-  // a query between recorded and unrecorded halves.
+  // Per-query latencies are written positionally like the results and
+  // recorded into kind_latency_ by this caller after the batch (Record is
+  // atomic-safe for concurrent callers). `timed` is sampled once so a
+  // mid-batch toggle cannot split a query between recorded and unrecorded
+  // halves.
   const bool timed = obs::MetricsEnabled();
-  using KindLatencyShard = std::array<obs::LatencyHistogram, kNumQueryKinds>;
-  std::vector<KindLatencyShard> latency_shards;
+  std::vector<uint64_t> latency_us(timed ? batch.size() : 0);
+  const auto execute = [this, &batch, &results, &latency_us, timed](size_t i,
+                                                                    Stats* shard) {
+    obs::PhaseClock clock("query", timed);
+    results[i] = ExecuteOne(batch[i], shard, &clock);
+    const uint64_t elapsed_us = clock.Finish();
+    if (timed) latency_us[i] = elapsed_us;
+  };
 
   if (pool_ == nullptr || workers <= 1) {
     shards.assign(1, Stats());
-    latency_shards.resize(1);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (timed) {
-        const uint64_t t0 = obs::NowMicros();
-        results[i] = ExecuteOne(batch[i], &shards[0]);
-        latency_shards[0][static_cast<size_t>(batch[i].kind)].Record(
-            obs::NowMicros() - t0);
-      } else {
-        results[i] = ExecuteOne(batch[i], &shards[0]);
-      }
-    }
+    for (size_t i = 0; i < batch.size(); ++i) execute(i, &shards[0]);
   } else {
     // Fan-out: workers claim slots through the cursor; results are written
     // positionally, so submission order is preserved for free. Completion
@@ -175,25 +169,16 @@ std::vector<QueryResult> QueryEngine::ExecuteBatch(const QueryBatch& batch) {
     // which would couple this caller's latency to every overlapping
     // batch's drain.
     shards.assign(static_cast<size_t>(workers), Stats());
-    latency_shards.resize(static_cast<size_t>(workers));
     std::atomic<size_t> next{0};
     auto done = std::make_shared<WaitGroup>(workers);
     for (int w = 0; w < workers; ++w) {
       Stats* shard = &shards[static_cast<size_t>(w)];
-      KindLatencyShard* latency = &latency_shards[static_cast<size_t>(w)];
-      pool_->Submit([this, &batch, &results, &next, done, shard, latency, timed] {
+      pool_->Submit([&batch, &next, &execute, done, shard] {
         UVD_TRACE_SPAN("query", "batch_worker");
         for (;;) {
           const size_t i = next.fetch_add(1, std::memory_order_relaxed);
           if (i >= batch.size()) break;
-          if (timed) {
-            const uint64_t t0 = obs::NowMicros();
-            results[i] = ExecuteOne(batch[i], shard);
-            (*latency)[static_cast<size_t>(batch[i].kind)].Record(
-                obs::NowMicros() - t0);
-          } else {
-            results[i] = ExecuteOne(batch[i], shard);
-          }
+          execute(i, shard);
         }
         done->Done();
       });
@@ -204,12 +189,8 @@ std::vector<QueryResult> QueryEngine::ExecuteBatch(const QueryBatch& batch) {
   if (view_.stats != nullptr) {
     for (const Stats& shard : shards) view_.stats->MergeFrom(shard);
   }
-  if (timed) {
-    for (const KindLatencyShard& shard : latency_shards) {
-      for (size_t k = 0; k < static_cast<size_t>(kNumQueryKinds); ++k) {
-        kind_latency_[k].MergeFrom(shard[k]);
-      }
-    }
+  for (size_t i = 0; i < latency_us.size(); ++i) {
+    kind_latency_[static_cast<size_t>(batch[i].kind)].Record(latency_us[i]);
   }
   {
     MutexLock lock(stats_mu_);

@@ -54,6 +54,7 @@
 #include "common/thread_pool.h"
 #include "core/uv_diagram.h"
 #include "obs/latency_histogram.h"
+#include "obs/trace_recorder.h"
 #include "obs/metrics_registry.h"
 #include "query/query_batch.h"
 #include "query/query_cache.h"
@@ -119,10 +120,11 @@ class QueryEngine {
   void InvalidateCache();
 
   /// Per-query-kind latency distribution in microseconds, accumulated
-  /// across every ExecuteBatch on this engine. Recorded into call-local
-  /// per-worker shards and merged (exact MergeFrom) after each batch, the
-  /// same story as the Stats shards; empty while obs::MetricsEnabled() is
-  /// off. Purely observational — answers are identical either way.
+  /// across every ExecuteBatch on this engine. Workers write each query's
+  /// latency into a call-local slot beside its result and the calling
+  /// thread records them after the batch; empty while
+  /// obs::MetricsEnabled() is off. Purely observational — answers are
+  /// identical either way.
   const obs::LatencyHistogram& kind_latency(QueryKind kind) const {
     return kind_latency_[static_cast<size_t>(kind)];
   }
@@ -147,11 +149,11 @@ class QueryEngine {
   const DiagramView& view() const { return view_; }
 
  private:
-  QueryResult ExecuteOne(const Query& q, Stats* shard) const;
+  QueryResult ExecuteOne(const Query& q, Stats* shard, obs::PhaseClock* clock) const;
 
   /// The cacheable index phase: point location + leaf page list.
-  Result<std::vector<rtree::LeafEntry>> CandidatesFor(const geom::Point& p,
-                                                      Stats* shard) const;
+  Result<std::vector<rtree::LeafEntry>> CandidatesFor(const geom::Point& p, Stats* shard,
+                                                      obs::PhaseClock* clock) const;
 
   DiagramView view_;
   QueryEngineOptions options_;
@@ -161,9 +163,8 @@ class QueryEngine {
   mutable Mutex stats_mu_;
   // Last batch's shards (observability snapshot, republished per batch).
   std::vector<Stats> worker_stats_ UVD_GUARDED_BY(stats_mu_);
-  // Cumulative per-kind query latency (us); merged from call-local worker
-  // shards after each batch, so concurrent callers never contend on it
-  // mid-batch.
+  // Cumulative per-kind query latency (us); recorded by each batch's
+  // caller after the batch, so workers never touch it.
   std::array<obs::LatencyHistogram, kNumQueryKinds> kind_latency_;
 };
 

@@ -308,17 +308,7 @@ std::vector<ObjectExtent> PredictObjectExtents(
 Result<ShardedUVDiagram> ShardedUVDiagram::Build(
     std::vector<uncertain::UncertainObject> objects, const geom::Box& domain,
     const ShardedUVDiagramOptions& options, Stats* stats) {
-  if (objects.empty()) {
-    return Status::InvalidArgument("cannot build a UV-diagram over zero objects");
-  }
-  for (size_t i = 0; i < objects.size(); ++i) {
-    if (objects[i].id() != static_cast<int>(i)) {
-      return Status::InvalidArgument("objects must have ids 0..n-1 in order");
-    }
-    if (!domain.Contains(objects[i].center())) {
-      return Status::InvalidArgument("object center outside the domain");
-    }
-  }
+  UVD_RETURN_NOT_OK(core::ValidateBuildInput(objects, domain));
 
   Timer total_timer;
   ShardedUVDiagram d;

@@ -150,10 +150,11 @@ class ShardedUVDiagram {
     std::unique_ptr<core::UVIndex> index;
   };
 
-  /// Builds every shard. Objects must have ids 0..n-1 in order and centers
-  /// inside `domain` (the whole-diagram validation; individual shards
-  /// accept border objects whose centers lie outside their sub-box). If
-  /// `stats` is null an internal Stats receives the global-phase tickers.
+  /// Builds every shard. The input must pass core::ValidateBuildInput
+  /// against `domain`, else InvalidArgument (the whole-diagram validation;
+  /// individual shards accept border objects whose centers lie outside
+  /// their sub-box). If `stats` is null an internal Stats receives the
+  /// global-phase tickers.
   static Result<ShardedUVDiagram> Build(
       std::vector<uncertain::UncertainObject> objects, const geom::Box& domain,
       const ShardedUVDiagramOptions& options = {}, Stats* stats = nullptr);

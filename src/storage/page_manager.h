@@ -99,10 +99,11 @@ class PageManager {
 
   /// Per-manager page-read latency distribution in microseconds — the I/O
   /// histogram the metrics registry unifies (register it as e.g.
-  /// "shard0.storage.page.read.latency.us"). For the in-RAM backend the
-  /// simulated latency is included; for FilePageManager it is measured
-  /// file/pool time. Recording is skipped while obs::MetricsEnabled() is
-  /// off.
+  /// "shard0.storage.page.read.latency.us"). For the in-RAM backend only
+  /// reads with simulated latency are recorded (sleep included): the rest
+  /// are page copies well under 1 us, counted by Ticker::kPageReads alone.
+  /// For FilePageManager it is measured file/pool time. Recording is
+  /// skipped while obs::MetricsEnabled() is off.
   const obs::LatencyHistogram& read_latency_histogram() const {
     return read_latency_us_;
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -16,114 +17,87 @@ DistanceDistribution::DistanceDistribution(const UncertainObject& obj, geom::Poi
       lower_(obj.DistMin(q)),
       upper_(obj.DistMax(q)) {}
 
+QueryRadii::QueryRadii(std::vector<double> radii)
+    : d(std::move(radii)), inv_d(d.size()), disk(d.size()) {
+  for (size_t k = 0; k < d.size(); ++k) {
+    inv_d[k] = 1.0 / d[k];
+    disk[k] = M_PI * d[k] * d[k];
+  }
+}
+
 double DistanceDistribution::Cdf(double d) const {
   double out = 0.0;
-  CdfRow(&d, 1, &out);
+  CdfRow(QueryRadii(std::vector<double>{d}), &out);
   return out;
 }
 
-void DistanceDistribution::CdfRow(const double* radii, size_t n, double* out) const {
+void DistanceDistribution::CdfRow(const QueryRadii& radii, double* out) const {
+  const double* d = radii.d.data();
+  const size_t n = radii.size();
+  UVD_DCHECK(std::is_sorted(d, d + n));
+  // Outside the support [lower, upper] the CDF is 0 or 1 (a point object
+  // is a step at lower == upper); the interior radii are [k0, k1).
+  const size_t k0 = static_cast<size_t>(
+      std::partition_point(d, d + n, [&](double x) { return x <= lower_; }) - d);
+  const size_t k1 = static_cast<size_t>(
+      std::partition_point(d + k0, d + n, [&](double x) { return x < upper_; }) - d);
+  for (size_t k = 0; k < k0; ++k) out[k] = d[k] == upper_ ? 1.0 : 0.0;
+  std::fill(out + k0, out + k1, 0.0);
+  std::fill(out + k1, out + n, 1.0);
+  if (k0 == k1) return;
+
   const RadialHistogramPdf& pdf = obj_.pdf();
   const std::vector<double>& mass = pdf.bars();
   const int bars = pdf.num_bars();
   const double dc = center_dist_;
-
-  // Per-bar geometry. boundary[j] is the radius between bars j - 1 and j
-  // (RingInner(j) and RingOuter(j - 1) are the same double). nearest[b] is
-  // the distance from q to the closest point of ring b; it falls, then
-  // rises with b, so the bars with nearest < d are one contiguous range
-  // that only widens as d grows. inside_mass[b] sums the masses of bars
-  // 0..b-1, which lie wholly inside Cir(q, d) together.
-  std::vector<double> boundary(static_cast<size_t>(bars) + 1);
-  for (int j = 0; j <= bars; ++j) boundary[static_cast<size_t>(j)] = pdf.RingInner(j);
-  std::vector<double> nearest(static_cast<size_t>(bars));
-  std::vector<double> ring_area(static_cast<size_t>(bars));
-  std::vector<double> weight(static_cast<size_t>(bars));  // mass per unit area
-  std::vector<double> inside_mass(static_cast<size_t>(bars) + 1, 0.0);
-  int valley = 0;
-  for (int b = 0; b < bars; ++b) {
-    const size_t ub = static_cast<size_t>(b);
-    const double r_in = boundary[ub];
-    const double r_out = boundary[ub + 1];
-    nearest[ub] = std::max(0.0, std::max(dc - r_out, r_in - dc));
-    if (nearest[ub] < nearest[static_cast<size_t>(valley)]) valley = b;
-    ring_area[ub] = M_PI * (r_out * r_out - r_in * r_in);
-    weight[ub] = ring_area[ub] > 0.0 ? mass[ub] / ring_area[ub] : 0.0;
-    inside_mass[ub + 1] = inside_mass[ub] + mass[ub];
+  if (obj_.radius() <= 0.0) {
+    for (size_t k = k0; k < k1; ++k) out[k] = d[k] >= dc ? 1.0 : 0.0;
+    return;
   }
 
-  // Pass 1: classify each radius and queue the ring-boundary lens areas of
-  // its straddling range [first, last) — last - first + 1 areas.
-  struct Span {
-    size_t k;
-    int inside;
-    int first;
-    int last;
-    size_t offset;
+  // Bar densities: mass per unit ring area, 0 outside the object.
+  auto density = [&](int b) {
+    if (b >= bars) return 0.0;
+    const double r_in = pdf.RingInner(b);
+    const double r_out = pdf.RingOuter(b);
+    const double ring_area = M_PI * (r_out * r_out - r_in * r_in);
+    return ring_area > 0.0 ? mass[static_cast<size_t>(b)] / ring_area : 0.0;
   };
-  std::vector<Span> spans;
-  spans.reserve(n);
-  std::vector<double> lens_d;
-  std::vector<double> lens_r;
-  lens_d.reserve(n * (static_cast<size_t>(bars) + 1));
-  lens_r.reserve(n * (static_cast<size_t>(bars) + 1));
-  int inside = 0;
-  int lo = valley;
-  int hi = valley;  // [lo, hi): bars with nearest < d
-  for (size_t k = 0; k < n; ++k) {
-    const double d = radii[k];
-    UVD_DCHECK(k == 0 || radii[k - 1] <= d);
-    if (d <= lower_) {
-      out[k] = d == upper_ ? 1.0 : 0.0;  // point object: step
-      continue;
-    }
-    if (d >= upper_) {
-      out[k] = 1.0;
-      continue;
-    }
-    if (obj_.radius() <= 0.0) {
-      out[k] = d >= dc ? 1.0 : 0.0;
-      continue;
-    }
-    while (inside < bars && dc + boundary[static_cast<size_t>(inside) + 1] <= d) {
-      ++inside;
-    }
-    if (lo == hi && nearest[static_cast<size_t>(valley)] < d) hi = valley + 1;
-    if (lo < hi) {
-      while (hi < bars && nearest[static_cast<size_t>(hi)] < d) ++hi;
-      while (lo > 0 && nearest[static_cast<size_t>(lo) - 1] < d) --lo;
-    }
-    const int first = std::max(inside, lo);
-    const int last = std::max(hi, first);
-    spans.push_back({k, inside, first, last, lens_d.size()});
-    if (first == last) continue;
-    for (int j = first; j <= last; ++j) {
-      lens_d.push_back(d);
-      lens_r.push_back(boundary[static_cast<size_t>(j)]);
-    }
-  }
 
-  std::vector<double> lens(lens_d.size());
-  geom::batch::LensAreas(dc, lens_d.data(), lens_r.data(), lens.size(), lens.data());
-
-  // Pass 2: inside prefix plus each straddling bar's share of its ring,
-  // accumulated in bar order.
-  for (const Span& s : spans) {
-    double acc = inside_mass[static_cast<size_t>(s.inside)];
-    const double* edge = lens.data() + s.offset;
-    for (int b = s.first; b < s.last; ++b) {
-      const size_t ub = static_cast<size_t>(b);
-      if (mass[ub] == 0.0) continue;
-      if (ring_area[ub] <= 0.0) {
-        // Degenerate ring (zero width): treat as circle boundary mass.
-        if (dc <= radii[s.k]) acc += mass[ub];
-        continue;
-      }
-      const size_t e = ub - static_cast<size_t>(s.first);
-      acc += weight[ub] * (edge[e + 1] - edge[e]);
+  const double* first = d + k0;
+  const double* last = d + k1;
+  std::vector<double> lens(k1 - k0);
+  double w_in = density(0);  // density of the bar just inside boundary j
+  // Boundary 0 has radius 0 and lens area 0, so it adds nothing.
+  for (int j = 1; j <= bars; ++j) {
+    const double w_out = density(j);
+    const double coef = w_in - w_out;
+    w_in = w_out;
+    if (coef == 0.0) continue;
+    const double rj = pdf.RingInner(j);
+    // Below the run Cir(q, d) is disjoint from Cir(center, R_j) (R_j <= dc:
+    // lens 0) or inside it (R_j > dc: pi * d^2); above the run
+    // Cir(center, R_j) is inside Cir(q, d) (pi * R_j^2). These are
+    // geom::batch::LensAreas's own case tests, so the run holds exactly
+    // the straddling radii.
+    const bool inside_below = rj > dc;
+    const double* a =
+        inside_below
+            ? std::partition_point(first, last, [&](double x) { return dc <= rj - x; })
+            : std::partition_point(first, last, [&](double x) { return dc >= x + rj; });
+    const double* b = std::partition_point(
+        a, last, [&](double x) { return !(x > rj && dc <= x - rj); });
+    const size_t ka = static_cast<size_t>(a - d);
+    const size_t kb = static_cast<size_t>(b - d);
+    if (inside_below) {
+      for (size_t k = k0; k < ka; ++k) out[k] += coef * radii.disk[k];
     }
-    out[s.k] = std::clamp(acc, 0.0, 1.0);
+    geom::batch::LensAreas(dc, rj, a, radii.inv_d.data() + ka, kb - ka, lens.data());
+    for (size_t k = ka; k < kb; ++k) out[k] += coef * lens[k - ka];
+    const double disk_r = M_PI * rj * rj;
+    for (size_t k = kb; k < k1; ++k) out[k] += coef * disk_r;
   }
+  for (size_t k = k0; k < k1; ++k) out[k] = std::clamp(out[k], 0.0, 1.0);
 }
 
 }  // namespace uncertain

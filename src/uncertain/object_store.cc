@@ -117,10 +117,16 @@ void ObjectStore::EncodeState(storage::Encoder* enc) const {
 }
 
 Status ObjectStore::RestoreState(storage::Decoder* dec) {
+  if (dec->remaining() < 4 * sizeof(uint32_t)) {
+    return Status::Corruption("object store manifest state truncated");
+  }
   record_size_ = dec->GetU32();
   records_per_page_ = dec->GetU32();
   tail_count_ = dec->GetU32();
   const uint32_t num_pages = dec->GetU32();
+  if (num_pages > dec->remaining() / sizeof(uint32_t)) {
+    return Status::Corruption("object store page list longer than its manifest");
+  }
   data_pages_.clear();
   data_pages_.reserve(num_pages);
   for (uint32_t i = 0; i < num_pages; ++i) data_pages_.push_back(dec->GetU32());

@@ -44,7 +44,8 @@ class ObjectStore {
   void EncodeState(storage::Encoder* enc) const;
 
   /// Restores state written by EncodeState. The pages themselves stay on
-  /// the page manager; this only rebuilds the in-RAM directory.
+  /// the page manager; this only rebuilds the in-RAM directory. A state
+  /// cut short by `dec`'s end (fixed fields or page list) is Corruption.
   Status RestoreState(storage::Decoder* dec);
 
   /// Decodes every record back, in id order, with ptrs[i] for objects[i]

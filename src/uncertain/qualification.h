@@ -8,15 +8,25 @@
 // candidate j and d_minmax = min_j dist_max(O_j, q) is the verification
 // bound of [14]: objects with dist_min > d_minmax can never be the NN.
 //
-// Cost: with c candidates left after the d_minmax filter and m grid steps,
-// the CDF rows take c calls of DistanceDistribution::CdfRow (each bar's
-// lens areas batched through geom::batch::LensAreas) and the survival
-// products over j != i come from prefix and suffix products, so the
-// integral is O(c * m) on top of the rows.
-// Accuracy: the midpoint rule on m = 240 steps is within ~3e-5 of an
-// m = 4096 reference on the benchmark data; the rational acos of
-// LensAreas is within 1 ulp of std::acos, which moves a CDF value by
-// ~1e-15 and an answer probability by well under 1e-12.
+// Rule: two product-midpoint sums on one grid of m cells (m =
+// integration_steps, default 120, odd values rounded up to even). P_m uses
+// all m cells; P_{m/2} uses the m/2 double cells between the even nodes,
+// whose radii are the same doubles, so it needs no further CDF values. The
+// midpoint rule's error is O(h^2), so one Richardson step
+//   P = (4 P_m - P_{m/2}) / 3
+// cancels its leading term. An answer is kept iff P_m > 0; where the
+// extrapolation is <= 0 (far candidates with tiny probabilities) P_m is
+// returned instead, and every answer is clamped to <= 1.
+//
+// Cost: with c candidates left after the d_minmax filter, the CDF rows take
+// c calls of DistanceDistribution::CdfRow on one QueryRadii grid, and the
+// survival products over j != i come from prefix and suffix products on
+// both grids, so the integral is O(c * m) = O(c * 120) on top of the rows.
+// Accuracy: within ~1.3e-5 of the same rule at m = 4096 on the benchmark
+// data (the plain midpoint rule at m = 240 was ~3.7e-5), and
+// |P_m - P_{m/2}| / 3 estimates each answer's error. The lens areas of
+// geom::batch::LensAreas are within ~1e-15 * pi * r^2 of the exact ones,
+// which moves an answer probability by well under 1e-12.
 #ifndef UVD_UNCERTAIN_QUALIFICATION_H_
 #define UVD_UNCERTAIN_QUALIFICATION_H_
 
@@ -37,7 +47,7 @@ struct PnnAnswer {
 
 /// Options for the numerical integration.
 struct QualificationOptions {
-  int integration_steps = 240;  ///< Grid resolution over [lo, d_minmax].
+  int integration_steps = 120;  ///< Grid cells over [lo, d_minmax]; odd rounds up.
 };
 
 /// Applies the d_minmax verification filter of [14]: keeps exactly the

@@ -4,11 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "datagen/generators.h"
 #include "datagen/workload.h"
+#include "shard/sharded_uv_diagram.h"
 
 namespace uvd {
 namespace core {
@@ -31,6 +36,63 @@ TEST(UvDiagramTest, RejectsCentersOutsideDomain) {
   objs.push_back(uncertain::UncertainObject::WithGaussianPdf(0, {{50, 5}, 1}));
   auto d = UVDiagram::Build(std::move(objs), geom::Box({0, 0}, {10, 10}));
   EXPECT_FALSE(d.ok());
+}
+
+TEST(UvDiagramTest, BuildRejectsInvalidObjects) {
+  // Each rule of ValidateObject, violated by object 3 of 6: both diagram
+  // types reject the input with InvalidArgument before building anything.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const geom::Box domain({0, 0}, {100, 100});
+  using uncertain::RadialHistogramPdf;
+  using uncertain::UncertainObject;
+  auto gauss = [](int id, geom::Point c) {
+    return UncertainObject::WithGaussianPdf(id, {c, 2});
+  };
+  const int id = 3;
+  // The default 20-bar Gaussian pdf, scaled, with its first two bars
+  // shifted.
+  auto with_bars = [&](double scale, double shift0, double shift1) {
+    std::vector<double> bars = RadialHistogramPdf::Gaussian(2).bars();
+    for (double& bar : bars) bar *= scale;
+    bars[0] += shift0;
+    bars[1] += shift1;
+    return UncertainObject(id, {{50, 50}, 2},
+                           RadialHistogramPdf(uncertain::PdfKind::kGaussian, 2, bars));
+  };
+  ASSERT_LT(RadialHistogramPdf::Gaussian(2).bars()[1], 0.5) << "the negative-bar case";
+  const std::vector<std::pair<std::string, UncertainObject>> bad = {
+      {"id out of order", gauss(4, {50, 50})},
+      {"NaN center", gauss(id, {nan, 50})},
+      {"infinite center", gauss(id, {50, inf})},
+      {"center outside the domain", gauss(id, {150, 50})},
+      {"negative radius", UncertainObject(id, {{50, 50}, -1}, RadialHistogramPdf::Gaussian(1))},
+      {"NaN radius", UncertainObject(id, {{50, 50}, nan}, RadialHistogramPdf::Gaussian(1))},
+      {"infinite radius", UncertainObject(id, {{50, 50}, inf}, RadialHistogramPdf::Gaussian(1))},
+      {"pdf mass 0.9", with_bars(0.9, 0.0, 0.0)},
+      {"pdf mass 1 + 1e-6", with_bars(1.0 + 1e-6, 0.0, 0.0)},
+      {"negative bar", with_bars(1.0, 0.5, -0.5)},
+      {"NaN bar", with_bars(1.0, nan, 0.0)},
+  };
+  for (const auto& [what, object] : bad) {
+    std::vector<UncertainObject> objs;
+    for (int i = 0; i < 6; ++i) {
+      objs.push_back(i == id ? object : gauss(i, {10.0 + 15.0 * i, 20.0 + 10.0 * i}));
+    }
+    const auto single = UVDiagram::Build(objs, domain);
+    ASSERT_FALSE(single.ok()) << what;
+    EXPECT_EQ(single.status().code(), StatusCode::kInvalidArgument) << what;
+    shard::ShardedUVDiagramOptions sharded_options;
+    sharded_options.num_shards = 2;
+    const auto sharded = shard::ShardedUVDiagram::Build(objs, domain, sharded_options);
+    ASSERT_FALSE(sharded.ok()) << what;
+    EXPECT_EQ(sharded.status().code(), StatusCode::kInvalidArgument) << what;
+  }
+  // The same input with a valid object 3 builds.
+  std::vector<UncertainObject> good;
+  for (int i = 0; i < 6; ++i) good.push_back(gauss(i, {10.0 + 15.0 * i, 20.0 + 10.0 * i}));
+  EXPECT_TRUE(UVDiagram::Build(good, domain).ok());
+  EXPECT_TRUE(shard::ShardedUVDiagram::Build(good, domain).ok());
 }
 
 TEST(UvDiagramTest, BuildPopulatesEverything) {

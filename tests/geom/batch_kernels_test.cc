@@ -231,51 +231,75 @@ TEST(HyperbolaBatchTest, MatchesScalarHyperbolaBitwise) {
   }
 }
 
+std::vector<double> Reciprocals(const std::vector<double>& d) {
+  std::vector<double> inv(d.size());
+  for (size_t i = 0; i < d.size(); ++i) inv[i] = 1.0 / d[i];
+  return inv;
+}
+
 // LensAreas must agree with geom::LensArea to 1e-12 of the larger disk's
-// area: the only difference is the rational acos.
-void ExpectLensAreasNearScalar(double dist, const std::vector<double>& r1,
-                               const std::vector<double>& r2) {
-  std::vector<double> out(r1.size(), -1.0);
-  LensAreas(dist, r1.data(), r2.data(), r1.size(), out.data());
-  for (size_t i = 0; i < r1.size(); ++i) {
-    const double rmax = std::max(r1[i], r2[i]);
-    EXPECT_NEAR(out[i], LensArea(dist, r1[i], r2[i]), 1e-12 * M_PI * rmax * rmax)
-        << "dist=" << dist << " r1=" << r1[i] << " r2=" << r2[i];
+// area: the differences are the rational acos and the precomputed
+// reciprocals in the cosines.
+void ExpectLensAreasNearScalar(double dist, double r, const std::vector<double>& d) {
+  const std::vector<double> inv = Reciprocals(d);
+  std::vector<double> out(d.size(), -1.0);
+  LensAreas(dist, r, d.data(), inv.data(), d.size(), out.data());
+  for (size_t i = 0; i < d.size(); ++i) {
+    const double rmax = std::max(d[i], r);
+    EXPECT_NEAR(out[i], LensArea(dist, d[i], r), 1e-12 * M_PI * rmax * rmax)
+        << "dist=" << dist << " r=" << r << " d=" << d[i];
   }
 }
 
-TEST(LensAreasTest, MatchesLensAreaOnRandomPairs) {
+TEST(LensAreasTest, MatchesLensAreaOnRandomRuns) {
   Rng rng(41);
   for (int trial = 0; trial < 200; ++trial) {
     const double dist = rng.Uniform(0.0, 60.0);
+    const double r = rng.Uniform(0.0, 50.0);
     const size_t n = static_cast<size_t>(rng.UniformInt(0, 37));
-    std::vector<double> r1(n), r2(n);
-    for (size_t i = 0; i < n; ++i) {
-      r1[i] = rng.Uniform(0.0, 50.0);
-      r2[i] = rng.Uniform(0.0, 50.0);
-    }
-    ExpectLensAreasNearScalar(dist, r1, r2);
+    std::vector<double> d(n);
+    for (double& x : d) x = rng.Uniform(0.0, 50.0);
+    ExpectLensAreasNearScalar(dist, r, d);
   }
 }
 
 TEST(LensAreasTest, MatchesLensAreaOnEdgeCases) {
   const double tiny = 1e-9;
-  // Tangency (outer and inner), containment both ways, zero radii, equal
-  // radii, and the vanishing center distance with equal and unequal radii.
-  ExpectLensAreasNearScalar(10.0, {4.0, 6.0, 4.0 + tiny, 3.0, 16.0, 14.0, 0.0, 5.0},
-                            {6.0, 4.0, 6.0, 13.0, 6.0, 4.0, 5.0, 0.0});
-  ExpectLensAreasNearScalar(10.0, {5.0, 7.5, 10.0, 20.0, 6.0 - tiny, 4.0 - tiny},
-                            {5.0, 7.5, 10.0, 20.0, 4.0, 6.0});
+  // Outer tangency (d + r = dist) and inner tangency (|d - r| = dist) from
+  // both sides, containment both ways, a zero query radius, and equal radii.
+  ExpectLensAreasNearScalar(10.0, 6.0,
+                            {4.0, 4.0 + tiny, 4.0 - tiny, 16.0, 16.0 - tiny, 16.0 + tiny,
+                             0.0, 6.0, 1.0, 30.0});
+  ExpectLensAreasNearScalar(10.0, 16.0,
+                            {6.0, 6.0 + tiny, 6.0 - tiny, 26.0, 26.0 - tiny, 2.0, 40.0});
+  ExpectLensAreasNearScalar(10.0, 0.0, {0.0, 5.0, 10.0, 20.0});
+  ExpectLensAreasNearScalar(10.0, 5.0, {5.0, 7.5, 10.0, 20.0});
+  // Vanishing center distance with equal and unequal radii.
   for (double dist : {0.0, 1e-300, 1e-12, 1e-6}) {
-    ExpectLensAreasNearScalar(dist, {3.0, 3.0, 2.0, 3.0, 0.0},
-                              {3.0, 2.0, 3.0, 3.0 + 1e-12, 0.0});
+    ExpectLensAreasNearScalar(dist, 3.0, {3.0, 2.0, 4.0, 3.0 + 1e-12, 3.0 - 1e-12, 0.0});
   }
-  const std::vector<double> r1{0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0};
-  std::vector<double> out(r1.size());
-  LensAreas(0.0, r1.data(), r1.data(), r1.size(), out.data());
-  for (size_t i = 0; i < r1.size(); ++i) {
-    EXPECT_EQ(out[i], M_PI * r1[i] * r1[i]) << "concentric equal disks";
+  const std::vector<double> d{0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0};
+  const std::vector<double> inv = Reciprocals(d);
+  for (size_t i = 0; i < d.size(); ++i) {
+    double out = -1.0;
+    LensAreas(0.0, d[i], d.data() + i, inv.data() + i, 1, &out);
+    EXPECT_EQ(out, M_PI * d[i] * d[i]) << "concentric equal disks";
   }
+}
+
+TEST(LensAreasTest, NearTangencyKeepsItsDigits) {
+  // One ulp inside outer tangency (d + r - dist = 3.6e-15) the exact lens
+  // is 3.9e-22; from the rounded cosines acos would give ~1e-5. One step
+  // further in, the exact area is 1.52866487070439069 (50-digit
+  // reference).
+  const double dist = 24.953885132348358;
+  const std::vector<double> d{22.434801225575619};
+  const std::vector<double> inv = Reciprocals(d);
+  double out = -1.0;
+  LensAreas(dist, 2.5190839067727415, d.data(), inv.data(), 1, &out);
+  EXPECT_LT(out, 1e-20);
+  LensAreas(dist, 3.1488548834659267, d.data(), inv.data(), 1, &out);
+  EXPECT_NEAR(out, 1.52866487070439069, 4e-15);
 }
 
 TEST(LensAreasTest, IntrinsicsPathMatchesScalarLanesBitwise) {
@@ -283,15 +307,17 @@ TEST(LensAreasTest, IntrinsicsPathMatchesScalarLanesBitwise) {
   // Block multiples and tails; each lane must equal the scalar fallback
   // bit for bit (the UVD_ENABLE_SIMD ON/OFF contract).
   for (size_t n : {0u, 1u, 3u, 4u, 5u, 8u, 13u, 64u, 257u}) {
-    const double dist = rng.Uniform(0.0, 40.0);
-    std::vector<double> r1(n), r2(n), out(n);
-    for (size_t i = 0; i < n; ++i) {
-      r1[i] = rng.Uniform(0.0, 1.0) < 0.1 ? 0.0 : rng.Uniform(0.0, 45.0);
-      r2[i] = rng.Uniform(0.0, 1.0) < 0.1 ? r1[i] : rng.Uniform(0.0, 45.0);
+    const double dist = rng.Uniform(0.0, 1.0) < 0.1 ? 0.0 : rng.Uniform(0.0, 40.0);
+    const double r = rng.Uniform(0.0, 1.0) < 0.1 ? 0.0 : rng.Uniform(0.0, 45.0);
+    std::vector<double> d(n), out(n);
+    for (double& x : d) {
+      const double u = rng.Uniform(0.0, 1.0);
+      x = u < 0.1 ? 0.0 : u < 0.2 ? r : u < 0.3 ? std::fabs(dist - r) : rng.Uniform(0.0, 45.0);
     }
-    LensAreas(dist, r1.data(), r2.data(), n, out.data());
+    const std::vector<double> inv = Reciprocals(d);
+    LensAreas(dist, r, d.data(), inv.data(), n, out.data());
     for (size_t i = 0; i < n; ++i) {
-      const double lane = LensAreaLane(dist, r1[i], r2[i]);
+      const double lane = LensAreaLane(dist, r, d[i], inv[i]);
       ASSERT_EQ(std::memcmp(&out[i], &lane, sizeof(double)), 0)
           << "n=" << n << " i=" << i << " " << out[i] << " vs " << lane;
     }

@@ -68,6 +68,15 @@ TEST(LensAreaTest, MatchesMonteCarlo) {
   EXPECT_NEAR(LensArea(d, r1, r2), mc, 0.01);
 }
 
+TEST(LensAreaTest, NearTangencyKeepsItsDigits) {
+  // 50-digit references: one ulp inside outer tangency, and a lens whose
+  // cosines are both near +-1.
+  EXPECT_LT(LensArea(24.953885132348358, 22.434801225575619, 2.5190839067727415), 1e-20);
+  EXPECT_NEAR(LensArea(24.953885132348358, 22.434801225575619, 3.1488548834659267),
+              1.52866487070439069, 4e-15);
+  EXPECT_NEAR(LensArea(10.0, 6.0000000010000001, 16.0), 113.09733556693149, 4e-13);
+}
+
 TEST(CircleIntersectionAreaTest, MatchesLensArea) {
   const Circle a({0, 0}, 2), b({1, 1}, 1.5);
   EXPECT_DOUBLE_EQ(CircleIntersectionArea(a, b),

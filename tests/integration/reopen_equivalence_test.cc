@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "query/result_digest.h"
 #include "shard/shard_router.h"
 #include "shard/sharded_uv_diagram.h"
+#include "storage/file_page_manager.h"
 #include "storage/paged_file.h"
 
 namespace uvd {
@@ -209,6 +211,61 @@ TEST(ReopenEquivalenceTest, OpenRejectsMissingAndForeignFiles) {
   const auto foreign = core::UVDiagram::Open(path);
   ASSERT_FALSE(foreign.ok());
   EXPECT_EQ(foreign.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+TEST(ReopenEquivalenceTest, OpenRejectsShortManifests) {
+  // A checkpointed store whose bootstrap is re-sealed with a shorter
+  // declared manifest size: checksums pass, and Open must return
+  // Corruption instead of decoding past the manifest's end. The manifest
+  // holds magic + version (8 bytes), the domain (32), the object-store
+  // state (16 + 4 per data page) and the index handle (8).
+  const std::string path = TempPath("short_manifest");
+  std::remove(path.c_str());
+  auto options = DataOptions(300, 5);
+  core::UVDiagram::Options diagram_options;
+  diagram_options.storage_path = path;
+  {
+    auto diagram = core::UVDiagram::Build(datagen::GenerateUniform(options),
+                                          datagen::DomainFor(options), diagram_options)
+                       .ValueOrDie();
+    UVD_CHECK_OK(diagram.CloseStorage());
+  }
+  std::vector<uint8_t> original;
+  {
+    auto file = storage::FilePageManager::Open(path).ValueOrDie();
+    original = file->bootstrap();
+    UVD_CHECK_OK(file->Close());
+  }
+  ASSERT_EQ(original.size(), 20u);
+  uint32_t full_bytes = 0;
+  std::memcpy(&full_bytes, original.data() + 16, sizeof(full_bytes));
+  ASSERT_GT(full_bytes, 68u) << "needs at least two data pages";
+
+  for (uint32_t bytes : {12u, 40u, 52u, 60u, full_bytes - 4}) {
+    std::vector<uint8_t> bootstrap = original;
+    std::memcpy(bootstrap.data() + 16, &bytes, sizeof(bytes));
+    {
+      auto file = storage::FilePageManager::Open(path).ValueOrDie();
+      UVD_CHECK_OK(file->SetBootstrap(bootstrap));
+      UVD_CHECK_OK(file->Close());
+    }
+    const auto reopened = core::UVDiagram::Open(path);
+    ASSERT_FALSE(reopened.ok()) << "manifest_bytes " << bytes;
+    EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption)
+        << "manifest_bytes " << bytes << ": " << reopened.status().ToString();
+  }
+
+  // The original bootstrap still opens.
+  {
+    auto file = storage::FilePageManager::Open(path).ValueOrDie();
+    UVD_CHECK_OK(file->SetBootstrap(original));
+    UVD_CHECK_OK(file->Close());
+  }
+  auto reopened = core::UVDiagram::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.value().objects().size(), 300u);
+  UVD_CHECK_OK(reopened.value().CloseStorage());
   std::remove(path.c_str());
 }
 

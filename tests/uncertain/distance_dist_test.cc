@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/random.h"
@@ -24,30 +25,40 @@ UncertainObject MakeObj(int id, geom::Point c, double r,
 }
 
 TEST(DistanceDistTest, CdfRowMatchesOnePointCdfBitwise) {
+  // Query points outside, inside and at the center of the region; each
+  // row entry sums the same terms in the same order as the one-point Cdf.
   Rng rng(12);
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto obj = MakeObj(0, {rng.Uniform(-30, 30), rng.Uniform(-30, 30)},
-                             rng.Uniform(1, 20),
+  for (int trial = 0; trial < 30; ++trial) {
+    const double r = rng.Uniform(1, 20);
+    const auto obj = MakeObj(0, {rng.Uniform(-30, 30), rng.Uniform(-30, 30)}, r,
                              trial % 2 == 0 ? PdfKind::kGaussian : PdfKind::kUniform);
-    const geom::Point q{rng.Uniform(-10, 10), rng.Uniform(-10, 10)};
+    geom::Point q{rng.Uniform(-10, 10), rng.Uniform(-10, 10)};
+    if (trial % 3 == 1) q = {obj.center().x + 0.5 * r, obj.center().y - 0.25 * r};
+    if (trial % 10 == 2) q = obj.center();
     DistanceDistribution dist(obj, q);
     std::vector<double> radii;
     for (int k = 0; k <= 100; ++k) {
       radii.push_back(dist.lower() - 1.0 + (dist.upper() - dist.lower() + 2.0) * k / 100);
     }
+    radii.erase(std::remove_if(radii.begin(), radii.end(), [](double x) { return x < 0; }),
+                radii.end());
+    const QueryRadii grid(radii);
     std::vector<double> row(radii.size());
-    dist.CdfRow(radii.data(), radii.size(), row.data());
+    dist.CdfRow(grid, row.data());
     for (size_t k = 0; k < radii.size(); ++k) {
-      EXPECT_EQ(row[k], dist.Cdf(radii[k])) << "trial " << trial << " k " << k;
+      const double one = dist.Cdf(radii[k]);
+      EXPECT_EQ(std::memcmp(&row[k], &one, sizeof(double)), 0)
+          << "trial " << trial << " k " << k << " " << row[k] << " vs " << one;
     }
   }
 }
 
 TEST(DistanceDistTest, CdfMatchesPerBarAnnulusAreas) {
-  // Against the per-bar sum the row code replaced: bars wholly inside or
-  // outside the disk count 1 or 0 (their near-tangent lens areas lose
-  // digits in the acos), straddling bars mass * (annulus-disk
-  // intersection / ring area) with std::acos lens areas.
+  // Against the per-bar sum: bars wholly inside or outside the disk count
+  // 1 or 0, straddling bars mass * (annulus-disk intersection / ring area)
+  // with geom::LensArea's std::acos lens areas. Some radii k/50 of the
+  // support land within ulps of a ring-boundary tangency, where both sides
+  // must keep their digits.
   Rng rng(13);
   for (int trial = 0; trial < 20; ++trial) {
     const auto obj = MakeObj(0, {rng.Uniform(-30, 30), rng.Uniform(-30, 30)},

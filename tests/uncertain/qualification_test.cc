@@ -163,10 +163,11 @@ TEST(QualificationTest, StatsTicker) {
   EXPECT_EQ(stats.Get(Ticker::kQualificationIntegrations), 1u);
 }
 
-// The O(c^2 * m) integral this library shipped before the row CDF, the
-// batched lens areas and the prefix/suffix products: per-point CDFs from
-// two std::acos lens areas per straddling bar, and the survival product
-// re-multiplied over j != i for every candidate and grid cell.
+// The O(c^2 * m) midpoint integral this library shipped before the row
+// CDF, the batched lens areas and the prefix/suffix products: per-point
+// CDFs from two std::acos lens areas per straddling bar, and the survival
+// product re-multiplied over j != i for every candidate and grid cell.
+// It is the oracle for the fine sum P_m of the two-level rule.
 double ReferenceCdf(const UncertainObject& obj, const geom::Point& q, double d) {
   const double lower = obj.DistMin(q);
   const double upper = obj.DistMax(q);
@@ -193,7 +194,7 @@ double ReferenceCdf(const UncertainObject& obj, const geom::Point& q, double d) 
   return std::clamp(acc, 0.0, 1.0);
 }
 
-std::vector<PnnAnswer> ReferenceQualification(
+std::vector<PnnAnswer> ReferenceMidpoint(
     const std::vector<const UncertainObject*>& candidates, const geom::Point& q,
     int m) {
   std::vector<PnnAnswer> answers;
@@ -237,6 +238,21 @@ double ProbabilityOf(const std::vector<PnnAnswer>& answers, int id) {
   return 0.0;
 }
 
+// The two-level rule on the reference midpoint sums: (4 P_m - P_{m/2}) / 3,
+// P_m where that is <= 0, at most 1, for the candidates with P_m > 0.
+std::vector<PnnAnswer> ReferenceQualification(
+    const std::vector<const UncertainObject*>& candidates, const geom::Point& q,
+    int m) {
+  const std::vector<PnnAnswer> coarse = ReferenceMidpoint(candidates, q, m / 2);
+  std::vector<PnnAnswer> answers = ReferenceMidpoint(candidates, q, m);
+  if (answers.size() == 1 && answers[0].probability == 1.0) return answers;
+  for (PnnAnswer& a : answers) {
+    const double p = (4.0 * a.probability - ProbabilityOf(coarse, a.id)) / 3.0;
+    a.probability = std::min(p > 0.0 ? p : a.probability, 1.0);
+  }
+  return answers;
+}
+
 // Every answer of `got` within `tol` of `want`, and the same answer set.
 void ExpectSameAnswers(const std::vector<PnnAnswer>& got,
                        const std::vector<PnnAnswer>& want, double tol,
@@ -273,25 +289,26 @@ TEST(QualificationTest, MatchesReferenceIntegral) {
     }
     const geom::Point q{rng.Uniform(-10, 10), rng.Uniform(-10, 10)};
     ExpectSameAnswers(ComputeQualificationProbabilities(Refs(objs), q),
-                      ReferenceQualification(Refs(objs), q, 240), 1e-12,
+                      ReferenceQualification(Refs(objs), q, 120), 1e-12,
                       "trial " + std::to_string(trial));
   }
   const auto cluster = Cluster17();
   ASSERT_EQ(FilterByDMinMax(Refs(cluster), {0, 0}).size(), 17u);
   ExpectSameAnswers(ComputeQualificationProbabilities(Refs(cluster), {0, 0}),
-                    ReferenceQualification(Refs(cluster), {0, 0}, 240), 1e-12,
+                    ReferenceQualification(Refs(cluster), {0, 0}, 120), 1e-12,
                     "cluster");
 }
 
 TEST(QualificationTest, WithinMidpointErrorOfFineGrid) {
-  // m = 240 against m = 4096: the midpoint-rule error the benchmark
-  // reports as pnn_prob_err_max (~3e-5).
+  // The two-level rule at m = 120 against m = 4096: the error the
+  // benchmark reports as pnn_prob_err_max (~1e-5; the plain midpoint rule
+  // at m = 240 was ~3e-5).
   QualificationOptions fine;
   fine.integration_steps = 4096;
   const auto cluster = Cluster17();
   ExpectSameAnswers(ComputeQualificationProbabilities(Refs(cluster), {0, 0}),
                     ComputeQualificationProbabilities(Refs(cluster), {0, 0}, fine),
-                    1e-4, "cluster");
+                    2e-5, "cluster");
   Rng rng(3);
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<UncertainObject> objs;
@@ -301,7 +318,112 @@ TEST(QualificationTest, WithinMidpointErrorOfFineGrid) {
     }
     ExpectSameAnswers(ComputeQualificationProbabilities(Refs(objs), {0, 0}),
                       ComputeQualificationProbabilities(Refs(objs), {0, 0}, fine),
-                      1e-4, "trial " + std::to_string(trial));
+                      2e-5, "trial " + std::to_string(trial));
+  }
+}
+
+// The answers are exactly the d_minmax survivors, each with 0 < p <= 1.
+void ExpectAnswersAreFilterSurvivors(const std::vector<const UncertainObject*>& objs,
+                                     const geom::Point& q,
+                                     const QualificationOptions& options,
+                                     const std::string& label) {
+  const auto answers = ComputeQualificationProbabilities(objs, q, options);
+  std::vector<int> got, want;
+  for (const PnnAnswer& a : answers) {
+    got.push_back(a.id);
+    EXPECT_GT(a.probability, 0.0) << label << " object " << a.id;
+    EXPECT_LE(a.probability, 1.0) << label << " object " << a.id;
+  }
+  for (const UncertainObject* o : FilterByDMinMax(objs, q)) want.push_back(o->id());
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(got, want) << label;
+}
+
+// Three candidates whose distance ranges end together at d_minmax = 15,
+// plus one far candidate whose range starts inside the last of the 120
+// fine cells. Near d_minmax each survival factor 1 - F_j falls like
+// (15 - r)^1.5, so the coarse cell's midpoint sees ~2.8x more survival per
+// near candidate; with three of them P_{m/2} > 4 P_m and the extrapolated
+// value of the far candidate is negative. With one near candidate it stays
+// positive and tiny.
+std::vector<UncertainObject> FarCandidateCase(int near_candidates) {
+  std::vector<UncertainObject> objs;
+  for (int i = 0; i < near_candidates; ++i) {
+    const double angle = 2.0 * M_PI * i / 3.0;
+    objs.push_back(Gauss(i, {10.0 * std::cos(angle), 10.0 * std::sin(angle)}, 5.0));
+  }
+  objs.push_back(Gauss(9, {-19.99, 0.5}, 5.0));
+  return objs;
+}
+
+TEST(QualificationTest, AnswersAreTheFilterSurvivors) {
+  const QualificationOptions defaults;
+  Rng rng(31);
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<UncertainObject> objs;
+    const int n = 2 + static_cast<int>(rng.UniformInt(0, 12));
+    for (int i = 0; i < n; ++i) {
+      objs.push_back(Gauss(i, {rng.Uniform(-40, 40), rng.Uniform(-40, 40)},
+                           rng.Uniform(0.5, 20)));
+    }
+    const geom::Point q{rng.Uniform(-10, 10), rng.Uniform(-10, 10)};
+    ExpectAnswersAreFilterSurvivors(Refs(objs), q, defaults,
+                                    "trial " + std::to_string(trial));
+  }
+  ExpectAnswersAreFilterSurvivors(Refs(Cluster17()), {0, 0}, defaults, "cluster");
+  for (int near : {1, 3}) {
+    const auto objs = FarCandidateCase(near);
+    ExpectAnswersAreFilterSurvivors(Refs(objs), {0, 0}, defaults,
+                                    "far candidate, near " + std::to_string(near));
+  }
+  QualificationOptions odd;
+  for (int steps : {1, 3, 121}) {
+    odd.integration_steps = steps;
+    ExpectAnswersAreFilterSurvivors(Refs(Cluster17()), {0, 0}, odd,
+                                    "steps " + std::to_string(steps));
+  }
+}
+
+TEST(QualificationTest, FarCandidateKeepsFineSumWhereExtrapolationIsNotPositive) {
+  for (int near : {1, 3}) {
+    const auto objs = FarCandidateCase(near);
+    const auto refs = Refs(objs);
+    const geom::Point q{0, 0};
+    const double p_fine = ProbabilityOf(ReferenceMidpoint(refs, q, 120), 9);
+    const double p_coarse = ProbabilityOf(ReferenceMidpoint(refs, q, 60), 9);
+    const double p = ProbabilityOf(ComputeQualificationProbabilities(refs, q), 9);
+    ASSERT_GT(p_fine, 0.0);
+    ASSERT_LT(p_fine, 1e-6) << "the far candidate's probability is tiny";
+    if (near == 3) {
+      // The case the fallback exists for: the extrapolation goes negative.
+      ASSERT_LE(4.0 * p_fine - p_coarse, 0.0);
+      EXPECT_NEAR(p, p_fine, 1e-9 * p_fine);
+    } else {
+      ASSERT_GT(4.0 * p_fine - p_coarse, 0.0);
+      EXPECT_NEAR(p, (4.0 * p_fine - p_coarse) / 3.0, 1e-9 * p_fine);
+    }
+    ExpectSameAnswers(ComputeQualificationProbabilities(refs, q),
+                      ReferenceQualification(refs, q, 120), 1e-12,
+                      "far candidate, near " + std::to_string(near));
+  }
+}
+
+TEST(QualificationTest, OddStepsRoundUpToEven) {
+  const auto cluster = Cluster17();
+  for (int steps : {1, 3, 121}) {
+    QualificationOptions odd, even;
+    odd.integration_steps = steps;
+    even.integration_steps = std::max(2, steps + 1);
+    const auto a = ComputeQualificationProbabilities(Refs(cluster), {0, 0}, odd);
+    const auto b = ComputeQualificationProbabilities(Refs(cluster), {0, 0}, even);
+    ASSERT_EQ(a.size(), b.size()) << "steps " << steps;
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].id, b[i].id);
+      EXPECT_EQ(a[i].probability, b[i].probability) << "steps " << steps;
+    }
+    ExpectSameAnswers(a, ReferenceQualification(Refs(cluster), {0, 0}, even.integration_steps),
+                      1e-12, "steps " + std::to_string(steps));
   }
 }
 
