@@ -1,0 +1,17 @@
+#include "common/memory.h"
+
+#include <cstdlib>  // defines __GLIBC__ on glibc
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+namespace uvd {
+
+void ReleaseFreeHeapPages() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
+
+}  // namespace uvd

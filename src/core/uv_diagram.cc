@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/memory.h"
 #include "core/uv_index_io.h"
 #include "storage/record.h"
 
@@ -114,6 +115,8 @@ Result<UVDiagram> UVDiagram::Build(std::vector<uncertain::UncertainObject> objec
   pipeline.leaf_memo_capacity = options.leaf_memo_capacity;
   UVD_RETURN_NOT_OK(RunBuildPipeline(d.objects_, d.ptrs_, *d.rtree_, domain, pipeline,
                                      d.index_.get(), &d.build_stats_, d.stats_));
+  // The pipeline's scratch is freed by now; give it back (common/memory.h).
+  ReleaseFreeHeapPages();
   return d;
 }
 

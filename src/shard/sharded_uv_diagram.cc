@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/memory.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/uv_index_io.h"
@@ -482,6 +483,11 @@ Result<ShardedUVDiagram> ShardedUVDiagram::Build(
   for (const Status& status : shard_status) UVD_RETURN_NOT_OK(status);
 
   for (double seconds : shard_seconds) d.build_stats_.indexing_seconds += seconds;
+  // Free the stage-1 output and give the build's scratch back
+  // (common/memory.h) before the diagram starts serving.
+  index_ids = {};
+  cell_regions = {};
+  ReleaseFreeHeapPages();
   d.build_stats_.total_seconds = total_timer.ElapsedSeconds();
   return d;
 }

@@ -1,8 +1,15 @@
-// Tests for the common substrate: Status, Result, Stats, Rng, Timer.
+// Tests for the common substrate: Status, Result, Stats, Rng, Timer,
+// heap release.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstring>
+#include <fstream>
+#include <memory>
 #include <set>
+#include <vector>
 
+#include "common/memory.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "common/stats.h"
@@ -155,6 +162,44 @@ TEST(TimerTest, ScopedTimerAccumulates) {
     for (int i = 0; i < 10000; ++i) x = x + 1.0;
   }
   EXPECT_GT(sink, 0.0);
+}
+
+// Sanitizer runtimes bring their own allocator; glibc's heap then sits
+// unused and ReleaseFreeHeapPages has nothing to hand back.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define UVD_TEST_SANITIZER_ALLOCATOR 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define UVD_TEST_SANITIZER_ALLOCATOR 1
+#endif
+#endif
+
+/// Resident set size in bytes (Linux /proc/self/statm; 0 elsewhere).
+size_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  size_t pages = 0, resident = 0;
+  if (!(statm >> pages >> resident)) return 0;
+  return resident * static_cast<size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(MemoryTest, ReleaseFreeHeapPagesDropsFreedHeapFromResidentSet) {
+#if !defined(__GLIBC__) || defined(UVD_TEST_SANITIZER_ALLOCATOR)
+  GTEST_SKIP() << "needs glibc's own malloc";
+#endif
+  if (ResidentBytes() == 0) GTEST_SKIP() << "no /proc/self/statm";
+  // 64 MiB of heap blocks; freeing every other one leaves 32 MiB of holes
+  // between live blocks, which the allocator keeps resident on its own.
+  constexpr size_t kBlock = 64 << 10;  // below glibc's smallest mmap threshold
+  std::vector<std::unique_ptr<char[]>> blocks(1024);
+  for (auto& b : blocks) {
+    b.reset(new char[kBlock]);
+    std::memset(b.get(), 1, kBlock);
+  }
+  for (size_t i = 0; i < blocks.size(); i += 2) blocks[i].reset();
+  const size_t before = ResidentBytes();
+  ReleaseFreeHeapPages();
+  EXPECT_GE(before, ResidentBytes() + (16u << 20));
 }
 
 }  // namespace
