@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <thread>
 
 #include "common/timer.h"
+#include "geom/batch/kernels.h"
 
 namespace uvd {
 namespace bench {
@@ -96,7 +98,20 @@ std::string JsonEscape(const std::string& s) {
 JsonReport::JsonReport(std::string bench_name)
     : bench_name_(std::move(bench_name)) {}
 
-void JsonReport::BeginRecord() { records_.emplace_back(); }
+void JsonReport::BeginRecord() {
+  records_.emplace_back();
+  // Every record carries the environment it was measured in.
+  Add("env_cores", static_cast<int64_t>(std::thread::hardware_concurrency()));
+#if defined(__clang__)
+  Add("env_compiler", std::string("clang ") + __clang_version__);
+#elif defined(__GNUC__)
+  Add("env_compiler", std::string("gcc ") + __VERSION__);
+#else
+  Add("env_compiler", std::string("unknown"));
+#endif
+  Add("env_simd", std::string(geom::batch::SimdIsa()));
+  Add("env_sim_io_ms", SimulatedIoMs());
+}
 
 void JsonReport::Add(const std::string& key, double value) {
   char buf[32];

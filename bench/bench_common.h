@@ -74,7 +74,8 @@ class JsonReport {
  public:
   explicit JsonReport(std::string bench_name);
 
-  /// Starts a new record; subsequent Add calls fill it.
+  /// Starts a new record stamped with its environment (env_cores,
+  /// env_compiler, env_simd, env_sim_io_ms); subsequent Add calls fill it.
   void BeginRecord();
   void Add(const std::string& key, double value);
   void Add(const std::string& key, int64_t value);

@@ -222,10 +222,7 @@ Result<UVDiagram> UVDiagram::Open(const std::string& path, const Options& option
   d.domain_.lo.y = dec.GetDouble();
   d.domain_.hi.x = dec.GetDouble();
   d.domain_.hi.y = dec.GetDouble();
-  const geom::Box& domain = d.domain_;
-  if (!std::isfinite(domain.lo.x) || !std::isfinite(domain.lo.y) ||
-      !std::isfinite(domain.hi.x) || !std::isfinite(domain.hi.y) ||
-      domain.lo.x > domain.hi.x || domain.lo.y > domain.hi.y) {
+  if (!d.domain_.IsFiniteNonEmpty()) {
     return Status::Corruption("diagram manifest domain is not a finite box");
   }
 

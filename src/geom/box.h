@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <limits>
 
 #include "geom/point.h"
@@ -35,6 +36,12 @@ struct Box {
   double Area() const { return Width() * Height(); }
   Point Center() const { return {(lo.x + hi.x) * 0.5, (lo.y + hi.y) * 0.5}; }
   bool IsEmpty() const { return lo.x > hi.x || lo.y > hi.y; }
+  /// Every coordinate finite and neither axis inverted: what a box
+  /// decoded from disk must be before anything is sized or routed by it.
+  bool IsFiniteNonEmpty() const {
+    return std::isfinite(lo.x) && std::isfinite(lo.y) && std::isfinite(hi.x) &&
+           std::isfinite(hi.y) && !IsEmpty();
+  }
 
   bool Contains(const Point& p) const {
     return p.x >= lo.x && p.x <= hi.x && p.y >= lo.y && p.y <= hi.y;

@@ -52,6 +52,16 @@ constexpr uint32_t kShardBootstrapVersion = 1;
 constexpr uint32_t kShardManifestMagic = 0x5556534D;    // "UVSM"
 constexpr uint32_t kShardManifestVersion = 1;
 
+/// Reads lo.x, lo.y, hi.x, hi.y; the caller checked remaining().
+geom::Box DecodeBox(storage::Decoder* dec) {
+  geom::Box box;
+  box.lo.x = dec->GetDouble();
+  box.lo.y = dec->GetDouble();
+  box.hi.x = dec->GetDouble();
+  box.hi.y = dec->GetDouble();
+  return box;
+}
+
 /// Clamped half-open ownership along one axis: [lo, hi), closed at hi only
 /// where hi is the domain's own max edge (no upper neighbor exists there).
 bool OwnsAxis(double v, double lo, double hi, double domain_hi) {
@@ -568,10 +578,10 @@ Result<ShardedUVDiagram> ShardedUVDiagram::Open(
 
   uint32_t num_shards = 0;
   uint32_t total_objects = 0;
-  // objects_[gid] filled from whichever shard store holds gid first;
-  // border replicas decode to identical records.
-  std::vector<bool> have_object;
-  std::vector<uncertain::UncertainObject> merged;
+  // Every shard's decoded store, in shard order. They are merged only once
+  // all are read, so nothing is sized by the manifests' object count before
+  // the stores bound it.
+  std::vector<std::vector<uncertain::UncertainObject>> subsets;
 
   for (size_t s = 0; num_shards == 0 || s < num_shards; ++s) {
     Shard sh;
@@ -616,36 +626,40 @@ Result<ShardedUVDiagram> ShardedUVDiagram::Open(
     if (dec.GetU32() > kShardManifestVersion) {
       return Status::NotImplemented("shard manifest from a future version");
     }
+    // shard index, fleet size, object count, domain, shard box, id count.
+    if (dec.remaining() < 3 * sizeof(uint32_t) + 8 * sizeof(double) + sizeof(uint32_t)) {
+      return Status::Corruption("shard manifest truncated before its id list");
+    }
     const uint32_t shard_index = dec.GetU32();
     const uint32_t fleet_size = dec.GetU32();
     const uint32_t object_count = dec.GetU32();
     if (shard_index != s || fleet_size == 0) {
       return Status::Corruption("shard manifest names the wrong shard index");
     }
-    geom::Box file_domain;
-    file_domain.lo.x = dec.GetDouble();
-    file_domain.lo.y = dec.GetDouble();
-    file_domain.hi.x = dec.GetDouble();
-    file_domain.hi.y = dec.GetDouble();
+    const geom::Box file_domain = DecodeBox(&dec);
+    sh.box = DecodeBox(&dec);
+    if (!file_domain.IsFiniteNonEmpty() || !sh.box.IsFiniteNonEmpty()) {
+      return Status::Corruption("shard manifest domain or box is not a finite box");
+    }
     if (s == 0) {
       num_shards = fleet_size;
       total_objects = object_count;
       d.domain_ = file_domain;
-      d.shards_.reserve(num_shards);
-      have_object.assign(total_objects, false);
-      merged.reserve(total_objects);
     } else if (fleet_size != num_shards || object_count != total_objects) {
       return Status::Corruption(
           "shard files disagree about the fleet size (mixed checkpoints?)");
     }
-    sh.box.lo.x = dec.GetDouble();
-    sh.box.lo.y = dec.GetDouble();
-    sh.box.hi.x = dec.GetDouble();
-    sh.box.hi.y = dec.GetDouble();
     const uint32_t registered = dec.GetU32();
+    if (registered > dec.remaining() / sizeof(int32_t)) {
+      return Status::Corruption("shard manifest id list longer than its manifest");
+    }
     sh.object_ids.reserve(registered);
     for (uint32_t i = 0; i < registered; ++i) {
-      sh.object_ids.push_back(dec.GetI32());
+      const int32_t gid = dec.GetI32();
+      if (gid < 0 || static_cast<uint32_t>(gid) >= total_objects) {
+        return Status::Corruption("shard manifest holds an out-of-range id");
+      }
+      sh.object_ids.push_back(gid);
     }
 
     sh.store = std::make_unique<uncertain::ObjectStore>(sh.pm.get());
@@ -656,32 +670,46 @@ Result<ShardedUVDiagram> ShardedUVDiagram::Open(
       return Status::Corruption(
           "shard store record count disagrees with its registered ids");
     }
+    for (size_t k = 0; k < subset.size(); ++k) {
+      if (subset[k].id() != sh.object_ids[k]) {
+        return Status::Corruption("shard store record disagrees with its registered id");
+      }
+    }
 
+    if (dec.remaining() < 2 * sizeof(uint32_t)) {
+      return Status::Corruption("shard manifest truncated before the index handle");
+    }
     core::SavedIndexHandle index_handle;
     index_handle.first_page = dec.GetU32();
     index_handle.page_count = dec.GetU32();
     UVD_ASSIGN_OR_RETURN(
         core::UVIndex index,
         core::LoadUvIndex(sh.pm.get(), index_handle, sh.stats.get()));
-    d.shards_.push_back(Shard{});
-    Shard& placed = d.shards_.back();
-    placed = std::move(sh);
-    placed.index = std::make_unique<core::UVIndex>(std::move(index));
-
-    for (size_t k = 0; k < subset.size(); ++k) {
-      const int gid = placed.object_ids[k];
-      if (gid < 0 || static_cast<uint32_t>(gid) >= total_objects) {
-        return Status::Corruption("shard manifest holds an out-of-range id");
-      }
-      if (!have_object[static_cast<size_t>(gid)]) {
-        have_object[static_cast<size_t>(gid)] = true;
-        merged.push_back(std::move(subset[k]));
-      }
-    }
+    sh.index = std::make_unique<core::UVIndex>(std::move(index));
+    d.shards_.push_back(std::move(sh));
+    subsets.push_back(std::move(subset));
   }
 
   // Every object is registered with at least the shard owning its center,
-  // so the merge must cover 0..n-1; sort back into id order.
+  // so the stores must cover 0..n-1; each id is taken from the first shard
+  // holding it (border replicas decode to identical records).
+  size_t loaded = 0;
+  for (const auto& subset : subsets) loaded += subset.size();
+  if (loaded < total_objects) {
+    return Status::Corruption("shard stores do not cover every object id");
+  }
+  std::vector<bool> have_object(total_objects, false);
+  std::vector<uncertain::UncertainObject> merged;
+  merged.reserve(total_objects);
+  for (auto& subset : subsets) {
+    for (auto& object : subset) {
+      const size_t gid = static_cast<size_t>(object.id());
+      if (!have_object[gid]) {
+        have_object[gid] = true;
+        merged.push_back(std::move(object));
+      }
+    }
+  }
   std::sort(merged.begin(), merged.end(),
             [](const uncertain::UncertainObject& a,
                const uncertain::UncertainObject& b) { return a.id() < b.id(); });

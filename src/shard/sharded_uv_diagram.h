@@ -165,7 +165,10 @@ class ShardedUVDiagram {
   /// replicas re-read identically), every shard's UV-index is
   /// deserialized, and `options.diagram` pool/qualification knobs apply to
   /// serving. object_extents() is empty after a reopen (it is a build-time
-  /// artifact). Damaged files surface the storage layer's typed errors.
+  /// artifact). Damaged files surface the storage layer's typed errors; a
+  /// manifest that is short of a field it declares, holds a non-finite or
+  /// inverted domain or shard box, or names ids its stores do not hold is
+  /// Corruption, and nothing is allocated by a count it has not bounded.
   static Result<ShardedUVDiagram> Open(const std::string& path_prefix,
                                        const ShardedUVDiagramOptions& options = {},
                                        Stats* stats = nullptr);

@@ -1,6 +1,7 @@
 #include "storage/paged_file.h"
 
 #include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -20,13 +21,54 @@ namespace {
 //   [12,16)  durable page count
 //   [16,20)  bootstrap length
 //   [20,276) bootstrap bytes (kBootstrapCapacity, zero-padded)
-//   [276,284) FNV-1a checksum over bytes [0,276)
+//   [276,284) PageChecksum over bytes [0,276), page id kMetapageChecksumId
 constexpr size_t kMetaChecksumOffset = 20 + kBootstrapCapacity;
+/// Page sizes Create accepts; Open rejects a metapage declaring another
+/// before anything is sized by it.
+constexpr size_t kMinPageSize = 64;
+constexpr size_t kMaxPageSize = size_t{1} << 24;
 
-uint64_t FrameChecksum(uint32_t id, const uint8_t* payload, size_t n) {
-  uint8_t id_le[4];
-  std::memcpy(id_le, &id, 4);  // little-endian on every supported target
-  return Fnv64(payload, n, Fnv64(id_le, 4));
+constexpr size_t kLanes = 32;
+constexpr size_t kStride = kLanes * sizeof(uint32_t);  // 128 bytes
+constexpr uint32_t kLanePrime = 16777619u;              // FNV-1 32-bit prime
+constexpr uint64_t kFoldBasis = 0xcbf29ce484222325ull;  // FNV-1a-64 basis
+constexpr uint64_t kFoldPrime = 1099511628211ull;
+
+/// One round over one 128-byte block: word i feeds lane i. Words are
+/// read in host order, which storage/record.h fixes as little-endian.
+inline void MixBlock(uint32_t* lanes, const uint8_t* block) {
+  for (size_t i = 0; i < kLanes; ++i) {
+    uint32_t word;
+    std::memcpy(&word, block + i * sizeof(uint32_t), sizeof(word));
+    const uint32_t t = (lanes[i] ^ word) * kLanePrime;
+    lanes[i] = t ^ (t >> 17);
+  }
+}
+
+/// PageChecksum before its page id is folded in. WriteZeroFrames computes
+/// it once per run of zero pages.
+uint64_t PayloadDigest(const uint8_t* data, size_t n) {
+  uint32_t lanes[kLanes];
+  for (size_t i = 0; i < kLanes; ++i) {
+    lanes[i] = 2166136261u + 0x9e3779b9u * static_cast<uint32_t>(i);
+  }
+  const size_t whole = n - n % kStride;
+  for (size_t off = 0; off < whole; off += kStride) MixBlock(lanes, data + off);
+  uint8_t block[kStride] = {};
+  if (whole != n) {
+    std::memcpy(block, data + whole, n - whole);
+    MixBlock(lanes, block);
+    std::memset(block, 0, kStride);
+  }
+  MixBlock(lanes, block);
+  MixBlock(lanes, block);
+  uint64_t h = (kFoldBasis ^ static_cast<uint64_t>(n)) * kFoldPrime;
+  for (size_t i = 0; i < kLanes; ++i) h = (h ^ lanes[i]) * kFoldPrime;
+  return h;
+}
+
+inline uint64_t FoldPageId(uint64_t digest, uint32_t page_id) {
+  return (digest ^ page_id) * kFoldPrime;
 }
 
 Status ErrnoStatus(const std::string& what, const std::string& path) {
@@ -34,6 +76,10 @@ Status ErrnoStatus(const std::string& what, const std::string& path) {
 }
 
 }  // namespace
+
+uint64_t PageChecksum(const uint8_t* data, size_t n, uint32_t page_id) {
+  return FoldPageId(PayloadDigest(data, n), page_id);
+}
 
 PagedFile::~PagedFile() {
   if (fd_ >= 0) ::close(fd_);
@@ -63,7 +109,7 @@ PagedFile& PagedFile::operator=(PagedFile&& other) noexcept {
 
 Result<std::unique_ptr<PagedFile>> PagedFile::Create(const std::string& path,
                                                      size_t page_size) {
-  if (page_size < 64 || page_size > (1u << 24)) {
+  if (page_size < kMinPageSize || page_size > kMaxPageSize) {
     return Status::InvalidArgument("page size out of range [64, 16M]");
   }
   const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
@@ -103,20 +149,27 @@ Result<std::unique_ptr<PagedFile>> PagedFile::Open(const std::string& path) {
                                    ": not a uvd paged file");
   }
   const uint32_t version = dec.GetU32();
-  if (version > kPagedFileVersion) {
-    return Status::NotImplemented("paged file " + path + " has format version " +
-                                  std::to_string(version) +
-                                  " from the future (newest known: " +
-                                  std::to_string(kPagedFileVersion) + ")");
+  if (version != kPagedFileVersion) {
+    return Status::NotImplemented(
+        "paged file " + path + " has format version " + std::to_string(version) +
+        "; this build reads only version " + std::to_string(kPagedFileVersion) +
+        (version < kPagedFileVersion ? " (rebuild the store)" : ""));
   }
-  const uint64_t expected = Fnv64(meta.data(), kMetaChecksumOffset);
+  const uint64_t expected =
+      PageChecksum(meta.data(), kMetaChecksumOffset, kMetapageChecksumId);
   uint64_t stored = 0;
   std::memcpy(&stored, meta.data() + kMetaChecksumOffset, 8);
   if (stored != expected) {
     return Status::Corruption("metapage checksum mismatch in " + path +
                               " (torn or corrupt checkpoint)");
   }
-  file->page_size_ = dec.GetU32();
+  const uint32_t page_size = dec.GetU32();
+  if (page_size < kMinPageSize || page_size > kMaxPageSize) {
+    return Status::Corruption("metapage of " + path + " declares page size " +
+                              std::to_string(page_size) +
+                              ", outside [64, 16M]");
+  }
+  file->page_size_ = page_size;
   file->page_count_ = dec.GetU32();
   file->durable_page_count_ = file->page_count_;
   const uint32_t bootstrap_len = dec.GetU32();
@@ -181,7 +234,8 @@ Status PagedFile::WriteMetapage() {
   enc.PutU32(static_cast<uint32_t>(bootstrap_.size()));
   meta.insert(meta.end(), bootstrap_.begin(), bootstrap_.end());
   meta.resize(kMetaChecksumOffset, 0);
-  const uint64_t checksum = Fnv64(meta.data(), kMetaChecksumOffset);
+  const uint64_t checksum =
+      PageChecksum(meta.data(), kMetaChecksumOffset, kMetapageChecksumId);
   enc.PutU64(checksum);
   meta.resize(kMetaBlockSize, 0);
   UVD_RETURN_NOT_OK(PhysicalWrite(meta.data(), meta.size(), 0));
@@ -190,13 +244,14 @@ Status PagedFile::WriteMetapage() {
 }
 
 Status PagedFile::WriteZeroFrames(uint32_t first, uint32_t count) {
-  // One reusable zero frame; the checksum differs per page id (it covers
-  // the id), so patch the header per page.
+  // One reusable zero frame whose payload digest is computed once; only
+  // the folded-in page id (and the id field) differ per page.
   std::vector<uint8_t> frame(kPageFrameHeaderSize + page_size_, 0);
+  const uint64_t digest =
+      PayloadDigest(frame.data() + kPageFrameHeaderSize, page_size_);
   for (uint32_t i = 0; i < count; ++i) {
     const uint32_t id = first + i;
-    const uint64_t checksum =
-        FrameChecksum(id, frame.data() + kPageFrameHeaderSize, page_size_);
+    const uint64_t checksum = FoldPageId(digest, id);
     std::memcpy(frame.data(), &checksum, 8);
     std::memcpy(frame.data() + 8, &id, 4);
     UVD_RETURN_NOT_OK(PhysicalWrite(frame.data(), frame.size(), FrameOffset(id)));
@@ -215,27 +270,28 @@ Status PagedFile::ReadPage(uint32_t id, std::vector<uint8_t>* out) const {
   if (id >= page_count_) {
     return Status::NotFound("page id out of range");
   }
-  std::vector<uint8_t> frame(kPageFrameHeaderSize + page_size_);
-  const ssize_t n =
-      ::pread(fd_, frame.data(), frame.size(), static_cast<off_t>(FrameOffset(id)));
+  // One preadv: the header into a local, the payload straight into *out.
+  uint8_t header[kPageFrameHeaderSize];
+  out->resize(page_size_);
+  struct iovec parts[2] = {{header, kPageFrameHeaderSize},
+                           {out->data(), page_size_}};
+  const ssize_t n = ::preadv(fd_, parts, 2, static_cast<off_t>(FrameOffset(id)));
   if (n < 0) {
     return ErrnoStatus("read failed on", path_);
   }
-  if (static_cast<size_t>(n) != frame.size()) {
+  if (static_cast<size_t>(n) != kPageFrameHeaderSize + page_size_) {
     return Status::Corruption("short read of page " + std::to_string(id) + " in " +
                               path_ + " (file truncated)");
   }
   uint64_t stored_checksum = 0;
   uint32_t stored_id = 0;
-  std::memcpy(&stored_checksum, frame.data(), 8);
-  std::memcpy(&stored_id, frame.data() + 8, 4);
-  const uint64_t expected =
-      FrameChecksum(id, frame.data() + kPageFrameHeaderSize, page_size_);
-  if (stored_id != id || stored_checksum != expected) {
+  std::memcpy(&stored_checksum, header, 8);
+  std::memcpy(&stored_id, header + 8, 4);
+  if (stored_id != id ||
+      stored_checksum != PageChecksum(out->data(), page_size_, id)) {
     return Status::Corruption("page " + std::to_string(id) + " in " + path_ +
                               " fails checksum (torn or corrupt write)");
   }
-  out->assign(frame.begin() + kPageFrameHeaderSize, frame.end());
   return Status::OK();
 }
 
@@ -249,7 +305,7 @@ Status PagedFile::WritePage(uint32_t id, const uint8_t* data, size_t size) {
   std::vector<uint8_t> frame(kPageFrameHeaderSize + page_size_, 0);
   std::memcpy(frame.data() + kPageFrameHeaderSize, data, size);
   const uint64_t checksum =
-      FrameChecksum(id, frame.data() + kPageFrameHeaderSize, page_size_);
+      PageChecksum(frame.data() + kPageFrameHeaderSize, page_size_, id);
   std::memcpy(frame.data(), &checksum, 8);
   std::memcpy(frame.data() + 8, &id, 4);
   return PhysicalWrite(frame.data(), frame.size(), FrameOffset(id));

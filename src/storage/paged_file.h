@@ -12,10 +12,11 @@
 // bootstrap blob (the superblock root pointer: callers stash a manifest
 // locator there, see uv_diagram.cc), and a checksum over all of it — the
 // metapage/version/magic discipline of the PostgreSQL-style access methods
-// (SNIPPETS.md mtree). Every data page frame carries a checksum over
-// (page id || payload) plus the page id itself, so a torn write, a bit
-// flip at rest, or a misdirected write is detected at read time and
-// reported as a typed Status::Corruption instead of served as data.
+// (SNIPPETS.md mtree). Every data page frame carries a checksum over its
+// payload bound to its page id (PageChecksum) plus the page id itself, so
+// a torn write, a bit flip at rest, or a misdirected write is detected at
+// read time and reported as a typed Status::Corruption instead of served
+// as data.
 //
 // Durability contract: WritePage goes straight to the file (pwrite at the
 // page's offset), but the METAPAGE — and with it the durable page count
@@ -43,16 +44,21 @@
 namespace uvd {
 namespace storage {
 
-/// FNV-1a 64-bit over a byte range — the same mix the digest contracts
-/// use; deterministic across platforms, no dependencies.
-inline uint64_t Fnv64(const uint8_t* data, size_t n,
-                      uint64_t h = 1469598103934665603ull) {
-  for (size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+/// Checksum of a page frame's payload (and of the metapage), bound to the
+/// page's id. The payload is read as little-endian u32 words in 32
+/// independent 32-bit lanes with a 128-byte stride (word i of each 128-byte
+/// block feeds lane i); each step is `lane = (lane ^ word) * prime;
+/// lane ^= lane >> 17`, a bijection in the word, so a change confined to
+/// one word always changes its lane. A tail shorter than 128 bytes is
+/// zero-padded to a full block, then two zero rounds spread the last
+/// words' bits. The lanes fold into 64 bits with FNV-1a-64 steps after the
+/// byte length, and the page id is folded in last. Lanes that do not wait
+/// on each other let the compiler vectorize the loop (PostgreSQL's
+/// data-page checksum, storage/checksum_impl.h, made the same choice);
+/// a byte-serial FNV pass costs ~10x more per page. Plain integer C++
+/// with no ISA-specific code, so every build computes the same values
+/// (docs/STORAGE.md has the definition and its known-answer tests).
+uint64_t PageChecksum(const uint8_t* data, size_t n, uint32_t page_id);
 
 /// Fixed metapage block size. Independent of page_size so Open can read
 /// the metapage before knowing the page size it declares.
@@ -61,9 +67,13 @@ constexpr size_t kMetaBlockSize = 512;
 constexpr size_t kPageFrameHeaderSize = 16;
 /// Bytes of caller data the metapage can carry (manifest locators etc.).
 constexpr size_t kBootstrapCapacity = 256;
+/// The page id the metapage checksum is bound to; no data page has it.
+constexpr uint32_t kMetapageChecksumId = 0xffffffffu;
 
 constexpr uint32_t kPagedFileMagic = 0x55565046;  // "UVPF"
-constexpr uint32_t kPagedFileVersion = 1;
+/// Format version 2: PageChecksum over frames and metapage (version 1 used
+/// a byte-serial FNV-1a-64; same layout). Open reads no other version.
+constexpr uint32_t kPagedFileVersion = 2;
 
 /// Fault decision returned by a write hook (crash-point harness).
 enum class WriteFault {
@@ -81,7 +91,7 @@ using WriteHook = std::function<WriteFault(uint64_t write_index)>;
 
 /// \brief Checksummed single-file page store.
 ///
-/// Thread safety: concurrent ReadPage calls are safe (pread, no shared
+/// Thread safety: concurrent ReadPage calls are safe (preadv, no shared
 /// offset). Concurrent WritePage calls are safe iff they target distinct,
 /// already-allocated pages (disjoint pwrite offsets). Allocate/AllocateRun/
 /// Checkpoint/Close must not overlap any other call — the same
@@ -102,9 +112,10 @@ class PagedFile {
   /// Opens an existing store, validating the metapage. Distinct failures
   /// map to distinct codes (tests/storage/storage_format_test.cc pins
   /// them): unreadable/short-of-a-metapage file -> IOError, bad magic ->
-  /// InvalidArgument, future format version -> NotImplemented, metapage
-  /// checksum mismatch or a file shorter than the durable page count
-  /// requires -> Corruption.
+  /// InvalidArgument, any format version but kPagedFileVersion (older
+  /// files must be rebuilt) -> NotImplemented, metapage checksum
+  /// mismatch, a page size outside Create's range or a file shorter than
+  /// the durable page count requires -> Corruption.
   static Result<std::unique_ptr<PagedFile>> Open(const std::string& path);
 
   size_t page_size() const { return page_size_; }
@@ -120,9 +131,10 @@ class PagedFile {
   /// Returns the first new id.
   Result<uint32_t> AllocatePages(uint32_t count);
 
-  /// Reads one page's payload into *out (resized to page_size). Verifies
-  /// the frame checksum and stored page id; Corruption on mismatch,
-  /// NotFound past page_count().
+  /// Reads one page's payload straight into *out (resized to page_size)
+  /// and verifies it there: frame checksum and stored page id; Corruption
+  /// on mismatch (*out then holds unverified bytes), NotFound past
+  /// page_count().
   Status ReadPage(uint32_t id, std::vector<uint8_t>* out) const;
 
   /// Writes one page's payload (shorter data is zero-padded to page_size;

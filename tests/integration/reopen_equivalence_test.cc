@@ -11,11 +11,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <functional>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "core/uv_diagram.h"
+#include "core/uv_index_io.h"
 #include "datagen/generators.h"
 #include "query/query_batch.h"
 #include "query/query_engine.h"
@@ -267,6 +272,152 @@ TEST(ReopenEquivalenceTest, OpenRejectsShortManifests) {
   EXPECT_EQ(reopened.value().objects().size(), 300u);
   UVD_CHECK_OK(reopened.value().CloseStorage());
   std::remove(path.c_str());
+}
+
+std::vector<uint8_t> ReadBytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(f),
+                              std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(reinterpret_cast<const char*>(bytes.data()),
+          static_cast<std::streamoff>(bytes.size()));
+}
+
+/// Reads a shard file's manifest, lets `edit` change its bytes and its
+/// declared length, then writes it to fresh pages and re-seals the
+/// bootstrap to point there: every checksum passes, so only the manifest
+/// decoder stands between the edit and the diagram.
+void EditShardManifest(
+    const std::string& path,
+    const std::function<void(std::vector<uint8_t>*, uint32_t*)>& edit) {
+  auto file = storage::FilePageManager::Open(path).ValueOrDie();
+  std::vector<uint8_t> bootstrap = file->bootstrap();
+  ASSERT_EQ(bootstrap.size(), 20u);
+  core::SavedIndexHandle handle;
+  uint32_t declared = 0;
+  std::memcpy(&handle.first_page, bootstrap.data() + 8, 4);
+  std::memcpy(&handle.page_count, bootstrap.data() + 12, 4);
+  std::memcpy(&declared, bootstrap.data() + 16, 4);
+  std::vector<uint8_t> manifest;
+  UVD_CHECK_OK(core::ReadPagesToStream(*file, handle, &manifest));
+  manifest.resize(declared);
+  edit(&manifest, &declared);
+  handle = core::WriteStreamToPages(manifest, file.get()).ValueOrDie();
+  std::memcpy(bootstrap.data() + 8, &handle.first_page, 4);
+  std::memcpy(bootstrap.data() + 12, &handle.page_count, 4);
+  std::memcpy(bootstrap.data() + 16, &declared, 4);
+  UVD_CHECK_OK(file->SetBootstrap(bootstrap));
+  UVD_CHECK_OK(file->Close());
+}
+
+TEST(ReopenEquivalenceTest, OpenRejectsShortShardManifests) {
+  // Shard manifests re-sealed with a shorter declared size or damaged
+  // fields: checksums pass, and ShardedUVDiagram::Open must return
+  // Corruption instead of decoding past the manifest's end, aborting, or
+  // allocating by an unchecked count. A shard manifest holds magic +
+  // version (8 bytes), shard index, fleet size and object count (12), the
+  // domain (32), the shard box (32), the id count and ids (4 + 4 per id),
+  // the object-store state (16 + 4 per data page) and the index handle (8).
+  constexpr int kShards = 2;
+  const std::string prefix = TempPath("short_shard_manifest");
+  RemoveShardFiles(prefix, kShards);
+  const auto data = DataOptions(300, 9);
+  shard::ShardedUVDiagramOptions options;
+  options.num_shards = kShards;
+  options.diagram.storage_path = prefix;
+  {
+    auto diagram = shard::ShardedUVDiagram::Build(datagen::GenerateUniform(data),
+                                                  datagen::DomainFor(data), options)
+                       .ValueOrDie();
+    UVD_CHECK_OK(diagram.CloseStorage());
+  }
+  std::vector<std::vector<uint8_t>> pristine;
+  for (int s = 0; s < kShards; ++s) {
+    pristine.push_back(
+        ReadBytes(shard::ShardedUVDiagram::ShardFilePath(prefix, s)));
+  }
+  const auto restore = [&] {
+    for (int s = 0; s < kShards; ++s) {
+      WriteBytes(shard::ShardedUVDiagram::ShardFilePath(prefix, s), pristine[s]);
+    }
+  };
+
+  constexpr size_t kIdsAt = 88;  // the first registered id
+  uint32_t registered = 0;
+  uint32_t full_bytes = 0;
+  EditShardManifest(shard::ShardedUVDiagram::ShardFilePath(prefix, 0),
+                    [&](std::vector<uint8_t>* manifest, uint32_t* declared) {
+                      std::memcpy(&registered, manifest->data() + kIdsAt - 4, 4);
+                      full_bytes = *declared;
+                    });
+  restore();
+  ASSERT_GT(registered, 0u);
+  ASSERT_GT(full_bytes, kIdsAt + 4 * registered + 16 + 8);
+  const uint32_t ids_end = static_cast<uint32_t>(kIdsAt + 4 * registered);
+
+  const auto put_u32 = [](size_t at, uint32_t v) {
+    return [at, v](std::vector<uint8_t>* manifest, uint32_t*) {
+      std::memcpy(manifest->data() + at, &v, 4);
+    };
+  };
+  const auto put_double = [](size_t at, double v) {
+    return [at, v](std::vector<uint8_t>* manifest, uint32_t*) {
+      std::memcpy(manifest->data() + at, &v, 8);
+    };
+  };
+  const auto declare = [](uint32_t bytes) {
+    return [bytes](std::vector<uint8_t>*, uint32_t* declared) {
+      *declared = bytes;
+    };
+  };
+  struct Case {
+    std::string name;
+    int shard;
+    std::function<void(std::vector<uint8_t>*, uint32_t*)> edit;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Case> cases = {
+      {"mid header", 0, declare(12)},
+      {"mid domain", 0, declare(40)},
+      {"before the id count", 0, declare(84)},
+      {"mid id list", 0, declare(ids_end - 4)},
+      {"mid store state", 0, declare(ids_end + 8)},
+      {"mid index handle", 0, declare(full_bytes - 4)},
+      {"shard 1 before the id count", 1, declare(84)},
+      {"id count past the manifest", 0, put_u32(kIdsAt - 4, 0x40000000u)},
+      {"NaN domain", 0, put_double(20, nan)},
+      {"infinite domain", 0, put_double(44, inf)},
+      {"NaN shard box", 1, put_double(52, nan)},
+      {"inverted shard box", 0, put_double(52, 1e12)},  // lo.x past hi.x
+      {"huge object count", -1, put_u32(16, 0xffffffffu)},
+      {"registered id past the object count", 0, put_u32(kIdsAt, 1u << 30)},
+      {"registered id not in the store", 0, put_u32(kIdsAt, 299u)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    for (int s = 0; s < kShards; ++s) {
+      if (c.shard == s || c.shard == -1) {
+        EditShardManifest(shard::ShardedUVDiagram::ShardFilePath(prefix, s),
+                          c.edit);
+      }
+    }
+    const auto reopened = shard::ShardedUVDiagram::Open(prefix);
+    ASSERT_FALSE(reopened.ok());
+    EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption)
+        << reopened.status().ToString();
+    restore();
+  }
+
+  // The pristine fleet still opens.
+  auto reopened = shard::ShardedUVDiagram::Open(prefix);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.value().objects().size(), 300u);
+  UVD_CHECK_OK(reopened.value().CloseStorage());
+  RemoveShardFiles(prefix, kShards);
 }
 
 }  // namespace

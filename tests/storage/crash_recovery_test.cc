@@ -43,6 +43,17 @@ std::vector<uint8_t> Pattern(size_t page_size, uint32_t page, uint32_t phase) {
   return data;
 }
 
+/// FNV-1a-64 over a byte range: the snapshot digest, independent of the
+/// page checksum under test.
+uint64_t Fnv64(const uint8_t* data, size_t n,
+               uint64_t h = 1469598103934665603ull) {
+  for (size_t i = 0; i < n; ++i) {
+    h ^= data[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 /// A durable state: what Open must recover after a crash.
 struct Snapshot {
   uint32_t page_count = 0;

@@ -1,15 +1,16 @@
-// Byte-pinned on-disk format test: tests/storage/testdata/golden_v1.uvpf
-// is a checked-in v1 paged file (page_size 128, three patterned pages,
+// Byte-pinned on-disk format test: tests/storage/testdata/golden_v2.uvpf
+// is a checked-in v2 paged file (page_size 128, three patterned pages,
 // a known bootstrap blob) whose every structural byte this test asserts at
 // its FIXED offset — magic, version, page size, durable count, bootstrap,
 // metapage checksum, per-frame checksums/ids/payloads and the total file
-// size. If an innocent refactor shifts the layout, this test fails before
-// any user's file does. The negative half mutates COPIES of the fixture
-// and pins each defect to its distinct typed Status: bad magic ->
-// InvalidArgument, future version -> NotImplemented, file shorter than a
-// metapage -> IOError, truncated data -> Corruption, checksum damage ->
-// Corruption. Regenerate the fixture only with a deliberate format-version
-// bump (see docs/STORAGE.md).
+// size — with the checksums as literals, so a change to PageChecksum fails
+// here too. The negative half mutates COPIES of the fixture and pins each
+// defect to its distinct typed Status: bad magic -> InvalidArgument, a
+// version other than 2 (including the checked-in v1 file
+// golden_v1.uvpf, kept only for this) -> NotImplemented, file shorter
+// than a metapage -> IOError, a re-sealed page size outside [64, 16M],
+// truncated data or checksum damage -> Corruption. Regenerate the fixture
+// only with a deliberate format-version bump (see docs/STORAGE.md).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,15 +29,22 @@ namespace {
 constexpr size_t kGoldenPageSize = 128;
 constexpr uint32_t kGoldenPages = 3;
 constexpr size_t kFrameSize = kPageFrameHeaderSize + kGoldenPageSize;
-constexpr char kGoldenBootstrap[] = "golden-bootstrap-v1";
+constexpr char kGoldenBootstrap[] = "golden-bootstrap-v2";
 // Offset of the metapage checksum: magic(4) + version(4) + page_size(4) +
 // page_count(4) + bootstrap_len(4) + bootstrap capacity.
 constexpr size_t kChecksumOffset = 20 + kBootstrapCapacity;
 
-std::string GoldenPath() {
-  return std::string(UVD_SOURCE_DIR) +
-         "/tests/storage/testdata/golden_v1.uvpf";
+// PageChecksum of the fixture's metapage bytes [0, 276) and of its three
+// frames, as stored at offsets 276 and 512 + p * 144.
+constexpr uint64_t kGoldenMetaChecksum = 0xb96bec73067dce6full;
+constexpr uint64_t kGoldenFrameChecksums[kGoldenPages] = {
+    0x26e9dfcf28aa07b4ull, 0xd9ef2099e69942c3ull, 0x50f5cae2c6ebd41aull};
+
+std::string TestdataPath(const std::string& name) {
+  return std::string(UVD_SOURCE_DIR) + "/tests/storage/testdata/" + name;
 }
+
+std::string GoldenPath() { return TestdataPath("golden_v2.uvpf"); }
 
 std::vector<uint8_t> ReadFile(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
@@ -74,13 +82,22 @@ std::string WriteCopy(const std::string& name,
   return path;
 }
 
+/// Recomputes the metapage checksum of a mutated fixture, so Open gets
+/// past the checksum to the field under test.
+void Reseal(std::vector<uint8_t>* bytes) {
+  const uint64_t checksum =
+      PageChecksum(bytes->data(), kChecksumOffset, kMetapageChecksumId);
+  std::memcpy(bytes->data() + kChecksumOffset, &checksum, 8);
+}
+
 TEST(StorageFormatTest, GoldenFileBytesArePinned) {
   const std::vector<uint8_t> bytes = ReadFile(GoldenPath());
   ASSERT_EQ(bytes.size(), kMetaBlockSize + kGoldenPages * kFrameSize);
 
   // Metapage fields at their frozen offsets.
   EXPECT_EQ(U32At(bytes, 0), kPagedFileMagic);  // "UVPF"
-  EXPECT_EQ(U32At(bytes, 4), kPagedFileVersion);
+  EXPECT_EQ(U32At(bytes, 4), 2u);
+  EXPECT_EQ(kPagedFileVersion, 2u);
   EXPECT_EQ(U32At(bytes, 8), kGoldenPageSize);
   EXPECT_EQ(U32At(bytes, 12), kGoldenPages);
   const size_t bootstrap_len = std::strlen(kGoldenBootstrap);
@@ -91,23 +108,23 @@ TEST(StorageFormatTest, GoldenFileBytesArePinned) {
   for (size_t i = 20 + bootstrap_len; i < kChecksumOffset; ++i) {
     ASSERT_EQ(bytes[i], 0u) << "metapage byte " << i;
   }
-  EXPECT_EQ(U64At(bytes, kChecksumOffset),
-            Fnv64(bytes.data(), kChecksumOffset));
+  EXPECT_EQ(U64At(bytes, kChecksumOffset), kGoldenMetaChecksum);
+  EXPECT_EQ(PageChecksum(bytes.data(), kChecksumOffset, kMetapageChecksumId),
+            kGoldenMetaChecksum);
   // Metapage padding past the checksum is zeroed too.
   for (size_t i = kChecksumOffset + 8; i < kMetaBlockSize; ++i) {
     ASSERT_EQ(bytes[i], 0u) << "metapage byte " << i;
   }
 
-  // Every data frame: checksum over (page id || payload), the id itself,
-  // zeroed reserved bytes, then the payload.
+  // Every data frame: checksum of the payload bound to the page id, the id
+  // itself, zeroed reserved bytes, then the payload.
   for (uint32_t p = 0; p < kGoldenPages; ++p) {
     SCOPED_TRACE("page " + std::to_string(p));
     const size_t frame = kMetaBlockSize + p * kFrameSize;
     const std::vector<uint8_t> payload = GoldenPayload(p);
-    uint8_t id_le[4];
-    std::memcpy(id_le, &p, 4);
-    EXPECT_EQ(U64At(bytes, frame),
-              Fnv64(payload.data(), payload.size(), Fnv64(id_le, 4)));
+    EXPECT_EQ(U64At(bytes, frame), kGoldenFrameChecksums[p]);
+    EXPECT_EQ(PageChecksum(payload.data(), payload.size(), p),
+              kGoldenFrameChecksums[p]);
     EXPECT_EQ(U32At(bytes, frame + 8), p);
     EXPECT_EQ(U32At(bytes, frame + 12), 0u);  // reserved
     EXPECT_EQ(std::memcmp(bytes.data() + frame + kPageFrameHeaderSize,
@@ -148,18 +165,52 @@ TEST(StorageFormatTest, EachDefectGetsItsDistinctTypedStatus) {
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
     std::remove(path.c_str());
   }
-  {  // Future format version: ours, but newer than this build understands.
-     // (Version is checked before the checksum, so a valid-looking file
-     // from a future build is refused by version, not misreported as
-     // corrupt — no checksum fixup needed here.)
-    auto bytes = golden;
-    const uint32_t future = 99;
-    std::memcpy(bytes.data() + 4, &future, 4);
-    const std::string path = WriteCopy("future_version", bytes);
+  {  // Other format versions: ours, but not the version this build reads.
+     // Version is checked before the checksum, so such a file is refused
+     // by version, not misreported as corrupt; the re-sealed copies show
+     // the version alone decides.
+    for (const uint32_t version : {0u, 1u, 3u, 99u}) {
+      SCOPED_TRACE("version " + std::to_string(version));
+      for (const bool reseal : {false, true}) {
+        auto bytes = golden;
+        std::memcpy(bytes.data() + 4, &version, 4);
+        if (reseal) Reseal(&bytes);
+        const std::string path = WriteCopy("other_version", bytes);
+        const auto r = PagedFile::Open(path);
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.status().code(), StatusCode::kNotImplemented);
+        EXPECT_NE(r.status().message().find("version " + std::to_string(version)),
+                  std::string::npos)
+            << r.status().ToString();
+        std::remove(path.c_str());
+      }
+    }
+  }
+  {  // The checked-in v1 file (byte-serial FNV checksums): rebuild, not read.
+    const std::string path =
+        WriteCopy("v1", ReadFile(TestdataPath("golden_v1.uvpf")));
     const auto r = PagedFile::Open(path);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kNotImplemented);
+    EXPECT_NE(r.status().message().find("version 1"), std::string::npos)
+        << r.status().ToString();
     std::remove(path.c_str());
+  }
+  {  // A checksum-valid metapage declaring a page size Create refuses:
+     // Corruption before anything is sized by it (0xffffffff would make
+     // every ReadPage allocate a 4 GiB frame).
+    for (const uint32_t page_size :
+         {0u, 1u, 63u, (1u << 24) + 1, 0x7fffffffu, 0xffffffffu}) {
+      SCOPED_TRACE("page_size " + std::to_string(page_size));
+      auto bytes = golden;
+      std::memcpy(bytes.data() + 8, &page_size, 4);
+      Reseal(&bytes);
+      const std::string path = WriteCopy("page_size", bytes);
+      const auto r = PagedFile::Open(path);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+      std::remove(path.c_str());
+    }
   }
   {  // Shorter than a metapage: not a page store at all.
     auto bytes = golden;

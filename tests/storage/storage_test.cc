@@ -1,14 +1,20 @@
 // Tests for the simulated disk: page manager I/O accounting, buffer pool
-// LRU behaviour, record encode/decode round-trips.
+// LRU behaviour, record encode/decode round-trips, and the paged file's
+// page checksum (error detection, known answers, the zero-run fold).
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 
+#include "common/random.h"
 #include "common/timer.h"
 #include "storage/buffer_pool.h"
 #include "storage/file_page_manager.h"
 #include "storage/page_manager.h"
+#include "storage/paged_file.h"
 #include "storage/record.h"
 
 namespace uvd {
@@ -229,6 +235,131 @@ TEST(RecordTest, SkipAndPosition) {
   dec.Skip(4);
   EXPECT_EQ(dec.position(), 4u);
   EXPECT_EQ(dec.GetU32(), 2u);
+}
+
+/// PageChecksum written out from its definition (paged_file.h), one word
+/// at a time: the oracle the vectorizable implementation must match.
+uint64_t ReferencePageChecksum(const uint8_t* data, size_t n,
+                               uint32_t page_id) {
+  uint32_t lanes[32];
+  for (uint32_t i = 0; i < 32; ++i) lanes[i] = 2166136261u + 0x9e3779b9u * i;
+  const auto step = [&](size_t lane, uint32_t word) {
+    const uint32_t t = (lanes[lane] ^ word) * 16777619u;
+    lanes[lane] = t ^ (t >> 17);
+  };
+  const size_t blocks = (n + 127) / 128;
+  for (size_t b = 0; b < blocks + 2; ++b) {  // data blocks, then 2 zero rounds
+    for (size_t lane = 0; lane < 32; ++lane) {
+      uint32_t word = 0;
+      for (size_t k = 0; k < 4; ++k) {
+        const size_t at = b * 128 + lane * 4 + k;
+        if (b < blocks && at < n) word |= uint32_t{data[at]} << (8 * k);
+      }
+      step(lane, word);
+    }
+  }
+  uint64_t h = (0xcbf29ce484222325ull ^ static_cast<uint64_t>(n)) *
+               1099511628211ull;
+  for (uint32_t lane : lanes) h = (h ^ lane) * 1099511628211ull;
+  return (h ^ page_id) * 1099511628211ull;
+}
+
+std::vector<uint8_t> ChecksumPattern(size_t n) {
+  std::vector<uint8_t> data(n);
+  for (size_t i = 0; i < n; ++i) data[i] = static_cast<uint8_t>(i * 7 + 3);
+  return data;
+}
+
+TEST(PageChecksumTest, EverySingleBitFlipChangesTheChecksum) {
+  Rng rng(20101);
+  std::vector<uint8_t> page(4096);
+  for (auto& byte : page) byte = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  const uint32_t id = 0x5eed1234u;
+  const uint64_t base = PageChecksum(page.data(), page.size(), id);
+  for (size_t bit = 0; bit < page.size() * 8; ++bit) {
+    page[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    ASSERT_NE(PageChecksum(page.data(), page.size(), id), base) << "bit " << bit;
+    page[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+  }
+  for (uint32_t bit = 0; bit < 32; ++bit) {
+    EXPECT_NE(PageChecksum(page.data(), page.size(), id ^ (1u << bit)), base)
+        << "page id bit " << bit;
+  }
+  EXPECT_EQ(PageChecksum(page.data(), page.size(), id), base);
+}
+
+TEST(PageChecksumTest, KnownAnswers) {
+  // Fixed values: a build whose compiler, ISA or flags changed the result
+  // would stop reading every existing store. 276 is the metapage's
+  // checksummed length; 4099 has a 3-byte tail.
+  struct Case {
+    size_t n;
+    uint64_t pattern;  // bytes i * 7 + 3, page id 0x01020304
+    uint64_t zeros;    // all-zero bytes, page id 0
+  };
+  const Case cases[] = {
+      {128, 0x4f1fc4936de5e03dull, 0x4d548c6a4773925aull},
+      {276, 0xf20489594a24c40aull, 0xf352d0550eeb9fd1ull},
+      {4096, 0x6acec12df01da040ull, 0x8591aa7e71d6959dull},
+      {4099, 0x4799e23f9dc0ea90ull, 0xb89a9c838e9e5d24ull},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("n=" + std::to_string(c.n));
+    const std::vector<uint8_t> pattern = ChecksumPattern(c.n);
+    const std::vector<uint8_t> zeros(c.n, 0);
+    EXPECT_EQ(PageChecksum(pattern.data(), c.n, 0x01020304u), c.pattern);
+    EXPECT_EQ(PageChecksum(zeros.data(), c.n, 0), c.zeros);
+  }
+}
+
+TEST(PageChecksumTest, MatchesItsDefinitionAtEveryLength) {
+  const std::vector<uint8_t> pattern = ChecksumPattern(700);
+  for (size_t n = 0; n <= pattern.size(); ++n) {
+    ASSERT_EQ(PageChecksum(pattern.data(), n, static_cast<uint32_t>(n * 977)),
+              ReferencePageChecksum(pattern.data(), n,
+                                    static_cast<uint32_t>(n * 977)))
+        << "n=" << n;
+  }
+}
+
+TEST(PageChecksumTest, ZeroRunFoldEqualsThePerPageChecksum) {
+  // AllocatePages digests the zero payload once per run and folds in each
+  // page id; every stored frame checksum must equal the direct per-page
+  // computation. 200 is not a multiple of the 128-byte stride.
+  for (const size_t page_size : {size_t{200}, size_t{4096}}) {
+    SCOPED_TRACE("page_size=" + std::to_string(page_size));
+    const std::string path = ::testing::TempDir() + "/uvd_zero_run";
+    std::remove(path.c_str());
+    uint32_t pages = 0;
+    {
+      auto file = PagedFile::Create(path, page_size).ValueOrDie();
+      ASSERT_EQ(file->AllocatePages(5).ValueOrDie(), 0u);
+      ASSERT_EQ(file->AllocatePages(1).ValueOrDie(), 5u);
+      ASSERT_EQ(file->AllocatePages(3).ValueOrDie(), 6u);
+      pages = file->page_count();
+      std::vector<uint8_t> out;
+      for (uint32_t p = 0; p < pages; ++p) {
+        UVD_CHECK_OK(file->ReadPage(p, &out));
+        EXPECT_EQ(out, std::vector<uint8_t>(page_size, 0));
+      }
+      UVD_CHECK_OK(file->Close());
+    }
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                     std::istreambuf_iterator<char>());
+    ASSERT_EQ(bytes.size(),
+              kMetaBlockSize + pages * (kPageFrameHeaderSize + page_size));
+    const std::vector<uint8_t> zeros(page_size, 0);
+    for (uint32_t p = 0; p < pages; ++p) {
+      uint64_t stored = 0;
+      std::memcpy(&stored,
+                  bytes.data() + kMetaBlockSize +
+                      p * (kPageFrameHeaderSize + page_size),
+                  sizeof(stored));
+      EXPECT_EQ(stored, PageChecksum(zeros.data(), page_size, p)) << "page " << p;
+    }
+    std::remove(path.c_str());
+  }
 }
 
 TEST(FilePageManagerTest, RoundTripAndAccounting) {
